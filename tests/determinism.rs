@@ -785,3 +785,114 @@ fn per_variant_seed_policy_is_reproducible() {
     // Distinct variants draw distinct worlds under PerVariant.
     assert_ne!(a[0].stats.generated_value, a[1].stats.generated_value);
 }
+
+/// FNV-1a over a string: a compact exact pin for a field too long to
+/// print whole.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One golden line: every semantic `RunStats` field of one run. The
+/// exhaustive destructure makes a new field a compile error here until
+/// it is either printed or named as diagnostic.
+fn golden_line(spec_name: &str, scheme: SchemeChoice, stats: &pcn_routing::RunStats) -> String {
+    let pcn_routing::RunStats {
+        generated,
+        generated_value,
+        completed,
+        completed_value,
+        failed,
+        latency,
+        overhead_msgs,
+        marked_tus,
+        aborted_tus,
+        delivered_tus,
+        drained_directions_end,
+        unroutable,
+        world_events_applied,
+        tus_expired_by_close,
+        graph_compactions,
+        faults_injected,
+        griefed_locks,
+        deadlocks_detected,
+        honest_generated,
+        honest_completed,
+        max_stall_us,
+        conservation_violations,
+        goal_directed_plans,
+        landmark_rebuilds,
+        // Diagnostic: these differ between cached and uncached runs.
+        nodes_settled: _,
+        path_cache: _,
+        wall_secs: _,
+    } = stats;
+    // The latency histogram stores every completion's latency: print its
+    // shape, and pin the recorded values in order through a hash.
+    let mut sorted = latency.clone();
+    let (p50, p99) = (sorted.quantile(0.5), sorted.quantile(0.99));
+    format!(
+        "{spec_name}/{}: gen={generated} gen_value={generated_value:?} \
+         done={completed} done_value={completed_value:?} fail={failed} \
+         latency=[n={} mean={:?} p50={p50:?} p99={p99:?} max={:?} hash={:016x}] \
+         overhead={overhead_msgs} marked={marked_tus} aborted={aborted_tus} \
+         delivered={delivered_tus} drained={drained_directions_end} \
+         unroutable={unroutable} world={world_events_applied} \
+         expired={tus_expired_by_close} compactions={graph_compactions} \
+         faults={faults_injected} griefed={griefed_locks} \
+         deadlocks={deadlocks_detected} honest={honest_completed}/{honest_generated} \
+         stall={max_stall_us} viol={conservation_violations} \
+         gd={goal_directed_plans} lr={landmark_rebuilds}",
+        scheme.name(),
+        latency.count(),
+        latency.mean(),
+        latency.max(),
+        fnv1a(&format!("{latency:?}")),
+    )
+}
+
+#[test]
+fn semantic_runs_match_golden() {
+    // The pins above prove that configurations agree with each other;
+    // this one pins the output itself. Each (spec, scheme) run's
+    // semantic payload is printed exactly (floats via `{:?}`) and
+    // compared with the committed text. A mismatch is a behaviour
+    // change: explain it in CHANGES.md and commit the regenerated text
+    // this test prints.
+    let specs: [(&str, fn(SchemeChoice) -> pcn_workload::ScenarioSpec); 4] = [
+        ("tiny", tiny_spec),
+        ("dynamic", dynamic_spec),
+        ("compacting", compacting_spec),
+        ("adversarial", adversarial_spec),
+    ];
+    let mut text = String::new();
+    for (name, spec) in specs {
+        for scheme in [
+            SchemeChoice::Splicer,
+            SchemeChoice::Spider,
+            SchemeChoice::Flash,
+            SchemeChoice::Landmark,
+            SchemeChoice::A2L,
+            SchemeChoice::ShortestPath,
+        ] {
+            let run = run_spec(&spec(scheme));
+            text.push_str(&golden_line(name, scheme, &run.report.stats));
+            text.push('\n');
+        }
+    }
+    let golden = include_str!("golden/semantic_runs.txt");
+    if text != golden {
+        let first_diff = text
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| text.lines().count().min(golden.lines().count()));
+        println!("--- regenerated tests/golden/semantic_runs.txt ---\n{text}--- end ---");
+        panic!(
+            "semantic output drifted from tests/golden/semantic_runs.txt at line {}; \
+             the regenerated text is printed above",
+            first_diff + 1
+        );
+    }
+}
