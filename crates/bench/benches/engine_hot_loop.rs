@@ -1,24 +1,21 @@
 //! The engine's per-event hot loop: full discrete-event runs on a
 //! saturated hop-lock world, reported as payments/sec.
 //!
-//! Traffic concentrates on a small pool of hotspot endpoint pairs (the
-//! `ScenarioBuilder::hotspot` regime), so path *planning* is served
-//! almost entirely by the epoch-versioned cache and the numbers measure
-//! the event loop itself: TU state lookups, hop locks, queue
-//! pushes/drains, injection pacing, settlement walks and the event
-//! scheduler. Channels are barely wider than one max-size TU, so almost
-//! every hop lock contends — the ROADMAP's "hot hop-lock path". Two
-//! regimes over the same world:
+//! Both regimes are **stress tests**, not headlines. Traffic concentrates
+//! on a small pool of hotspot endpoint pairs (the
+//! `ScenarioBuilder::hotspot` regime) over channels barely wider than one
+//! max-size TU, so almost every hop lock contends — the "hot hop-lock
+//! path" — and almost every payment fails. Each regime's TSR is recorded
+//! in the baseline's `meta`. Path *planning* is served almost entirely by
+//! the epoch-versioned cache, so the numbers measure the event loop
+//! itself: TU state lookups, hop locks, queue pushes/drains, injection
+//! pacing, settlement walks and the event scheduler. Two regimes over the
+//! same world:
 //!
 //! * `spider_saturated` — rate-controlled Spider: windows, pacing,
 //!   queues on dry directions and `QueueDrain` cascades.
 //! * `blast_saturated`  — uncontrolled shortest-path blasting: the
 //!   abort/refund unwinding path under the same load.
-//!
-//! Both also run on the reference `BinaryHeap` event queue (`*_heap`)
-//! so the committed `BENCH_engine_hot_loop.json` baseline documents the
-//! calendar-queue delta on identical workloads (the two backends are
-//! bit-identical in outcome — `tests/determinism.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pcn_routing::channel::NetworkFunds;
@@ -76,9 +73,15 @@ fn run_once(
     funds: &NetworkFunds,
     payments: &[Payment],
     scheme: SchemeConfig,
-    cfg: EngineConfig,
 ) -> pcn_routing::RunStats {
-    Engine::new(g.clone(), funds.clone(), scheme, cfg, SimRng::seed(1)).run(payments.to_vec())
+    Engine::new(
+        g.clone(),
+        funds.clone(),
+        scheme,
+        EngineConfig::default(),
+        SimRng::seed(1),
+    )
+    .run(payments.to_vec())
 }
 
 fn bench_hot_loop(c: &mut Criterion) {
@@ -91,15 +94,11 @@ fn bench_hot_loop(c: &mut Criterion) {
         ("spider_saturated", SchemeConfig::spider()),
         ("blast_saturated", SchemeConfig::shortest_path()),
     ] {
-        for (queue, calendar) in [("", true), ("_heap", false)] {
-            let cfg = EngineConfig {
-                use_calendar_queue: calendar,
-                ..EngineConfig::default()
-            };
-            group.bench_function(format!("{name}{queue}_{PAYMENTS}p_{NODES}n"), |b| {
-                b.iter(|| black_box(run_once(&g, &funds, &payments, scheme.clone(), cfg.clone())))
-            });
-        }
+        let tsr = run_once(&g, &funds, &payments, scheme.clone()).tsr();
+        group.metadata(format!("{name}_tsr"), format!("{tsr:.3}"));
+        group.bench_function(format!("{name}_{PAYMENTS}p_{NODES}n"), |b| {
+            b.iter(|| black_box(run_once(&g, &funds, &payments, scheme.clone())))
+        });
     }
     group.finish();
 }

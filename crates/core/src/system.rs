@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use pcn_placement::{CostParams, PlacementInstance, PlacementPlan, PlacementSolver};
 use pcn_routing::tu::Payment;
-use pcn_routing::{Engine, EngineConfig, RunStats, SchemeConfig, ShardedEngine};
+use pcn_routing::{Engine, EngineConfig, RunStats, SchemeConfig};
 use pcn_sim::SimRng;
 use pcn_types::{Amount, NodeId, Result, SimDuration};
 use pcn_workload::{PcnTopology, Scenario};
@@ -61,11 +61,6 @@ pub struct PreparedRun {
     /// empty plan installs nothing).
     faults: pcn_routing::FaultPlan,
     seed: u64,
-    /// `Some(k)` routes execution through [`ShardedEngine`] with `k`
-    /// partitioned event loops — even `k = 1`, so the sharded machinery
-    /// itself is testable against the plain engine. `None` (the default
-    /// when the scenario says one shard) runs the plain [`Engine`].
-    shards: Option<u32>,
     placement: Option<PlacementSummary>,
     voting_overlap: f64,
 }
@@ -100,39 +95,18 @@ impl PreparedRun {
         &self.topology
     }
 
-    /// Forces execution through the sharded engine with `k` partitioned
-    /// event loops (clamped to at least 1). Explicitly setting `k = 1`
-    /// still exercises the sharded machinery — which the determinism
-    /// suite pins bit-identical to the plain engine.
-    pub fn set_shards(&mut self, k: u32) {
-        self.shards = Some(k.max(1));
-    }
-
     /// Executes the run.
     pub fn run(self) -> RunReport {
-        let stats = match self.shards {
-            Some(k) => ShardedEngine::new(
-                self.topology.graph,
-                self.topology.funds,
-                self.scheme,
-                self.engine_cfg,
-                SimRng::seed(self.seed),
-                k,
-            )
-            .with_timeline(self.timeline)
-            .with_faults(self.faults)
-            .run(self.payments),
-            None => Engine::new(
-                self.topology.graph,
-                self.topology.funds,
-                self.scheme,
-                self.engine_cfg,
-                SimRng::seed(self.seed),
-            )
-            .with_timeline(self.timeline)
-            .with_faults(self.faults)
-            .run(self.payments),
-        };
+        let stats = Engine::new(
+            self.topology.graph,
+            self.topology.funds,
+            self.scheme,
+            self.engine_cfg,
+            SimRng::seed(self.seed),
+        )
+        .with_timeline(self.timeline)
+        .with_faults(self.faults)
+        .run(self.payments);
         RunReport {
             scheme: self.name,
             stats,
@@ -221,14 +195,6 @@ impl SystemBuilder {
         let mut rng = SimRng::seed(self.scenario.params.seed ^ 0x9e37);
         let plan = self.solver.solve(&inst, &mut rng)?;
         Ok((inst, plan))
-    }
-
-    /// The scenario's shard request: `k > 1` engages the sharded
-    /// engine; one shard means the plain engine (tests opt into the
-    /// K=1 machinery explicitly via [`PreparedRun::set_shards`]).
-    fn scenario_shards(&self) -> Option<u32> {
-        let k = self.scenario.params.shards;
-        (k > 1).then_some(k)
     }
 
     fn voting_overlap(&self) -> f64 {
@@ -338,7 +304,6 @@ impl SystemBuilder {
             timeline: self.scenario.timeline.clone(),
             faults: self.scenario.faults.clone(),
             seed: self.run_seed,
-            shards: self.scenario_shards(),
             placement: Some(PlacementSummary {
                 hubs: plan.num_hubs(),
                 management_cost: plan.management_cost(),
@@ -375,7 +340,6 @@ impl SystemBuilder {
             timeline: self.scenario.timeline.clone(),
             faults: self.scenario.faults.clone(),
             seed: self.run_seed,
-            shards: self.scenario_shards(),
             placement: None,
             voting_overlap: self.voting_overlap(),
         }
@@ -423,7 +387,6 @@ impl SystemBuilder {
             timeline: self.scenario.timeline.clone(),
             faults: self.scenario.faults.clone(),
             seed: self.run_seed,
-            shards: self.scenario_shards(),
             placement: None,
             voting_overlap: self.voting_overlap(),
         }

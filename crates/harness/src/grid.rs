@@ -291,28 +291,6 @@ impl ExperimentGrid {
         self
     }
 
-    /// Adds an engine-shard sweep axis: each point runs every scheme on
-    /// `k` partitioned event loops (1 = the plain engine forced through
-    /// the sharded machinery). Results are bit-identical across the
-    /// axis — what varies is wall clock, surfaced per cell via
-    /// [`RunStats::payments_per_sec`].
-    pub fn sweep_shards(mut self, values: &[u32]) -> Self {
-        for &k in values {
-            self = self.variant(
-                format!("shards {k}"),
-                f64::from(k),
-                Overrides {
-                    tuning: RunTuning {
-                        shards: Some(k),
-                        ..RunTuning::default()
-                    },
-                    ..Overrides::default()
-                },
-            );
-        }
-        self
-    }
-
     /// Adds a placement-weight (ω) sweep axis (Fig. 9).
     pub fn sweep_omega(mut self, values: &[f64]) -> Self {
         for &v in values {
@@ -446,9 +424,7 @@ fn merge_tuning(base: &RunTuning, variant: &RunTuning) -> RunTuning {
         hub_fund_factor: variant.hub_fund_factor.or(base.hub_fund_factor),
         update_interval_ms: variant.update_interval_ms.or(base.update_interval_ms),
         path_cache: variant.path_cache.or(base.path_cache),
-        calendar_queue: variant.calendar_queue.or(base.calendar_queue),
         goal_directed: variant.goal_directed.or(base.goal_directed),
-        shards: variant.shards.or(base.shards),
     }
 }
 
@@ -625,20 +601,6 @@ mod tests {
         assert_ne!(
             results[0].stats, results[1].stats,
             "churn must actually perturb the run"
-        );
-    }
-
-    #[test]
-    fn shard_sweep_is_bit_identical_across_the_axis() {
-        let results = ExperimentGrid::new(ScenarioParams::tiny())
-            .schemes([SchemeChoice::Spider])
-            .sweep_shards(&[1, 2])
-            .run(1);
-        assert_eq!(results.len(), 2);
-        assert_eq!(
-            results[0].stats.without_cache_counters(),
-            results[1].stats.without_cache_counters(),
-            "sharding must not change semantics"
         );
     }
 

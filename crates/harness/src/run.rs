@@ -19,26 +19,12 @@ pub struct RunTuning {
     /// Semantics-preserving either way; used for cache A/B cells and the
     /// determinism regression.
     pub path_cache: Option<bool>,
-    /// Calendar-queue event scheduler toggle (None = engine default, on;
-    /// `Some(false)` pins the run to the reference binary heap).
-    /// Semantics-preserving either way — both backends pop the identical
-    /// event sequence; used for the determinism regression and scheduler
-    /// A/B cells.
-    pub calendar_queue: Option<bool>,
     /// Goal-directed planning toggle (None = engine default, on).
     /// Bidirectional + ALT landmark searches and batched hub-leg trees;
     /// semantics-preserving either way modulo the planner-observability
     /// counters (`RunStats::without_planner_counters`). Used for the
     /// determinism regression and planner A/B cells.
     pub goal_directed: Option<bool>,
-    /// Engine shard count (None = follow the spec's `params.shards`).
-    /// `Some(k)` forces the sharded engine with `k` partitioned event
-    /// loops — including `Some(1)`, which exercises the sharded
-    /// machinery itself. Semantics-preserving for any `k`: the merged
-    /// run is bit-identical to the single engine (the determinism
-    /// regression pins this), so this axis only trades cores for wall
-    /// clock.
-    pub shards: Option<u32>,
 }
 
 /// Scheme-level overrides (the paper's Table II and ablation rows tweak
@@ -168,14 +154,8 @@ pub fn run_on_scenario(
     if let Some(cache) = tuning.path_cache {
         prepared.tune_engine(|cfg| cfg.use_path_cache = cache);
     }
-    if let Some(calendar) = tuning.calendar_queue {
-        prepared.tune_engine(|cfg| cfg.use_calendar_queue = calendar);
-    }
     if let Some(goal) = tuning.goal_directed {
         prepared.tune_engine(|cfg| cfg.use_goal_directed = goal);
-    }
-    if let Some(k) = tuning.shards {
-        prepared.set_shards(k);
     }
     let report = prepared.run();
     let violations = check_expectations(spec, &report);

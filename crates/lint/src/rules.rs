@@ -2,9 +2,9 @@
 //! per-file analysis driver.
 //!
 //! Every headline result of this reproduction — cache hits bit-identical
-//! to recomputation, sharded runs bit-identical to the serial engine,
-//! grids bit-identical across worker counts — rests on the determinism
-//! contract. These rules enforce it at the source level, deny-by-default:
+//! to recomputation, grids bit-identical across worker counts — rests on
+//! the determinism contract. These rules enforce it at the source level,
+//! deny-by-default:
 //!
 //! - **R1 `unordered-iter`** — no iteration over `HashMap`/`HashSet`
 //!   (incl. `keys`/`values`/`drain`/`retain`) in semantic code. Std hash

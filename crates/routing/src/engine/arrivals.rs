@@ -117,9 +117,8 @@ fn uses_alt(scheme: &crate::scheme::SchemeConfig) -> bool {
 
 /// Whether this payment's plan goes through a goal-directed computation
 /// when `EngineConfig::use_goal_directed` is on. Purely a function of
-/// the scheme and the payment — identical on every replica of a sharded
-/// run, with or without the cache — so `goal_directed_plans` stays a
-/// semantic counter.
+/// the scheme and the payment — identical with or without the cache —
+/// so `goal_directed_plans` stays a semantic counter.
 fn plan_uses_accel(scheme: &crate::scheme::SchemeConfig, p: &Payment) -> bool {
     match &scheme.route_via {
         RouteVia::Direct | RouteVia::Hubs { .. } => matches!(
@@ -241,67 +240,19 @@ impl Engine {
         }
     }
 
-    /// Computes the payment's plan, routing ownership through the shard
-    /// link when this engine is a replica of a sharded run: the owning
-    /// shard computes the shared plan and publishes it, every other
-    /// replica receives that exact plan in event order, and the
-    /// per-payment finish ([`Engine::plan_finish`]) runs locally on all
-    /// replicas so their RNG streams stay in lockstep.
+    /// Computes the payment's plan. Flash mice draw their one path from
+    /// the cached candidate pool on the engine RNG, right after the pool
+    /// lookup, cache on or off.
     pub(super) fn plan_paths(&mut self, p: &Payment) -> Arc<[Path]> {
         let accel = self.cfg.use_goal_directed && plan_uses_accel(&self.scheme, p);
         if accel {
             self.stats.goal_directed_plans += 1;
         }
         if self.cfg.use_goal_directed && uses_alt(&self.scheme) {
-            // Before the ownership branch on purpose: every replica of a
-            // sharded run rebuilds (epoch mismatch) or no-ops (fresh, two
-            // integer compares) in lockstep, keeping `landmark_rebuilds`
-            // semantic across shard counts.
+            // Per plan, not per cache miss: `landmark_rebuilds` stays the
+            // same cached or uncached.
             self.workspace.prepare_landmarks(&self.graph);
         }
-        let route = self
-            .shard
-            .as_ref()
-            .map(|link| (link.me(), link.owner_of(self.compute_node(p))));
-        let shared = match route {
-            None => self.plan_shared(p, accel),
-            Some((me, owner)) if owner == me => {
-                let plan = self.plan_shared(p, accel);
-                self.shard
-                    .as_ref()
-                    .expect("link checked above")
-                    .publish(p.id, &plan);
-                plan
-            }
-            Some((_, owner)) => self
-                .shard
-                .as_ref()
-                .expect("link checked above")
-                .recv(owner, p.id),
-        };
-        self.plan_finish(p, shared)
-    }
-
-    /// Completes a shared plan into the per-payment plan. For Flash mice
-    /// the shared plan is the pooled KSP candidate set and the final
-    /// single-path draw happens here, on this engine's RNG — in a
-    /// sharded run every replica draws locally from its
-    /// identically-advancing stream, so handing off the pre-draw pool
-    /// keeps all RNG states synchronized. Every other scheme passes
-    /// through unchanged.
-    fn plan_finish(&mut self, p: &Payment, shared: Arc<[Path]>) -> Arc<[Path]> {
-        if let RouteVia::FlashMaxFlow { elephant_threshold } = &self.scheme.route_via {
-            if p.value <= *elephant_threshold && !shared.is_empty() {
-                return vec![shared[self.rng.index(shared.len())].clone()].into();
-            }
-        }
-        shared
-    }
-
-    /// The shard-shareable part of planning: everything up to (but not
-    /// including) the per-payment RNG finish. This is what a sharded
-    /// run's owning replica hands off to its peers.
-    fn plan_shared(&mut self, p: &Payment, accel: bool) -> Arc<[Path]> {
         let k = self.scheme.num_paths.max(1);
         let strategy = self.scheme.path_select;
         let view = self.scheme.balance_view;
@@ -314,6 +265,7 @@ impl Engine {
             prices,
             path_cache,
             workspace,
+            rng,
             ..
         } = self;
         let now = EpochStamp {
@@ -540,9 +492,9 @@ impl Engine {
                         },
                     )
                 } else {
-                    // The pooled plan is shared via `Arc`; `plan_finish`
-                    // draws the one per-payment path from it.
-                    cached_or(
+                    // The pool is cached and shared via `Arc`; each
+                    // payment draws its one path from it.
+                    let pool = cached_or(
                         path_cache,
                         use_cache,
                         CacheKey {
@@ -567,7 +519,12 @@ impl Engine {
                                 accel,
                             )
                         },
-                    )
+                    );
+                    if pool.is_empty() {
+                        pool
+                    } else {
+                        vec![pool[rng.index(pool.len())].clone()].into()
+                    }
                 }
             }
         }

@@ -58,19 +58,15 @@
 //!   every event lands at `now`, `now + hop_delay` or the τ tick, so a
 //!   bucketed time wheel turns the scheduler's `O(log n)` heap ops into
 //!   amortized `O(1)` pushes/pops. Ties at equal timestamps pop in
-//!   scheduling order (FIFO) — the determinism contract — and
-//!   [`EngineConfig::use_calendar_queue`] can pin a run back onto the
-//!   reference binary heap (`tests/determinism.rs` proves the swap is
-//!   bit-identical).
+//!   scheduling order (FIFO) — the determinism contract. The reference
+//!   binary heap ([`EventQueue::with_heap`]) is a test oracle only: the
+//!   property suite pins both backends to one pop sequence, op for op.
 
 mod arena;
 mod arrivals;
 mod control;
 mod lifecycle;
-mod shard;
 mod world;
-
-pub use shard::ShardedEngine;
 
 #[cfg(test)]
 mod tests;
@@ -138,16 +134,13 @@ pub struct EngineConfig {
     /// onto a stalled cycle (see the crate-level threat model).
     pub retry_backoff: SimDuration,
     /// Serve path plans from the epoch-versioned [`PathCache`]. The cache
-    /// is semantics-preserving (hits are bit-identical to recomputation),
-    /// so this toggle only trades CPU for memory; it exists for A/B runs
-    /// and the determinism regression.
+    /// is semantics-preserving (hits are bit-identical to recomputation,
+    /// pinned by `tests/determinism.rs`), so this toggle is a pure
+    /// memory-versus-CPU trade — the one engine toggle kept for a use
+    /// beyond A/B testing: a cached run holds up to
+    /// [`crate::cache::DEFAULT_CAPACITY`] weight units of plans, an
+    /// uncached run recomputes every plan.
     pub use_path_cache: bool,
-    /// Schedule events on the calendar queue ([`EventQueue::new`])
-    /// instead of the reference binary heap ([`EventQueue::with_heap`]).
-    /// Both pop the identical event sequence (same `(time, FIFO)` total
-    /// order), so this toggle is semantics-preserving; it exists for A/B
-    /// runs and the determinism regression.
-    pub use_calendar_queue: bool,
     /// Plan with goal-directed searches: bidirectional Dijkstra with
     /// ALT landmark lower bounds for point-to-point selection, and
     /// batched two-tree hub-leg planning for the landmark scheme. The
@@ -182,7 +175,6 @@ impl Default for EngineConfig {
             max_retries: 0,
             retry_backoff: SimDuration::ZERO,
             use_path_cache: true,
-            use_calendar_queue: true,
             use_goal_directed: true,
         }
     }
@@ -316,10 +308,6 @@ pub struct Engine {
     /// Reusable graph-search buffers for the hot path-selection loop.
     pub(super) workspace: SearchWorkspace,
     pub(super) hub_count: usize,
-    /// Handoff mesh link when this engine is one replica of a
-    /// [`ShardedEngine`] run (`None` for plain single-engine runs).
-    /// `plan_paths` routes ownership decisions through it.
-    pub(super) shard: Option<shard::ShardLink>,
     /// Adversary runtime, `None` unless a non-empty [`FaultPlan`]
     /// (crate::fault) was installed via [`Engine::with_faults`].
     pub(super) fault: Option<FaultState>,
@@ -353,11 +341,6 @@ impl Engine {
         let prices = PriceTable::new(Arc::clone(&endpoints));
         let node_busy = vec![SimTime::ZERO; graph.node_count()];
         let hub_count = scheme.route_via.hub_set().len();
-        let events = if cfg.use_calendar_queue {
-            EventQueue::new()
-        } else {
-            EventQueue::with_heap()
-        };
         Engine {
             cfg,
             scheme,
@@ -370,7 +353,7 @@ impl Engine {
             active: Vec::new(),
             tus: arena::TuArena::new(),
             node_busy,
-            events,
+            events: EventQueue::new(),
             stats: RunStats::default(),
             rng,
             payments: VecDeque::new(),
@@ -382,7 +365,6 @@ impl Engine {
             path_cache: PathCache::new(),
             workspace: SearchWorkspace::new(),
             hub_count,
-            shard: None,
             fault: None,
         }
     }

@@ -13,10 +13,10 @@
 //!
 //! Per-event fault decisions are **pure hash functions** of
 //! `(plan salt, payment id, hop index, retry count, channel id)`, never
-//! the engine RNG: cached and uncached runs, both event-queue backends
-//! and every shard replica therefore agree bit-for-bit on each
-//! intervention, and an empty plan is byte-identical to an honest run
-//! (it draws nothing and the engine short-circuits it entirely).
+//! the engine RNG: cached and uncached runs therefore agree bit-for-bit
+//! on each intervention, and an empty plan is byte-identical to an
+//! honest run (it draws nothing and the engine short-circuits it
+//! entirely).
 
 use pcn_types::{ChannelId, SimDuration, TxId};
 
@@ -60,7 +60,7 @@ pub enum RogueBehavior {
 ///
 /// Built by the workload layer (`AdversarySpec::materialize`) and carried
 /// alongside the payment trace like the world-event timeline; install it
-/// with `Engine::with_faults` / `ShardedEngine::with_faults`. The
+/// with `Engine::with_faults`. The
 /// [`FaultPlan::default`] plan is empty and injects nothing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
@@ -172,7 +172,7 @@ impl FaultPlan {
 /// Packs one forward's identity — payment, hop, retry attempt, channel —
 /// into a single hash input. Keyed by the *payment* id (dense, stable),
 /// never the TU slot handle (slots recycle), so decisions survive every
-/// cache/backend/shard configuration of the same run.
+/// cache configuration of the same run.
 fn forward_key(tx: TxId, hop: usize, retries: u32, ch: ChannelId) -> u64 {
     mix(tx.raw())
         ^ (hop as u64).rotate_left(24)

@@ -32,10 +32,6 @@
 //!   abort/refund/retry), and `engine::control` (price ticks, queue
 //!   expiry and marking, rate updates, hub synchronization), dispatched
 //!   from `engine::mod`.
-//! * [`shard`] + `engine::shard` — K partitioned event loops: a
-//!   deterministic hub-cut [`Partition`] assigns route-computation
-//!   ownership, and [`ShardedEngine`] runs K replicas whose merged
-//!   result is bit-identical to a single-engine run.
 //! * [`fault`] — the adversarial layer (threat model below): a pure-data
 //!   [`FaultPlan`] the engine evaluates at hop-event boundaries.
 //!
@@ -66,9 +62,8 @@
 //!    re-verified at end of run (`RunStats::conservation_violations`).
 //! 2. **Determinism**: fault decisions are pure hashes of
 //!    `(plan salt, payment id, hop, retry, channel)` — never the engine
-//!    RNG — so cached ≡ uncached, calendar ≡ heap and sharded ≡ plain
-//!    stay bit-identical under attack, and an empty plan is
-//!    byte-identical to an honest run.
+//!    RNG — so cached ≡ uncached stays bit-identical under attack, and
+//!    an empty plan is byte-identical to an honest run.
 //! 3. **Detection, not prevention**: a stalled-run watchdog plus a
 //!    drained-direction cycle check over the CSR graph fires
 //!    `RunStats::deadlocks_detected` when no lock or settle happened for
@@ -118,16 +113,14 @@ pub mod prices;
 pub mod rate;
 pub mod scheduler;
 pub mod scheme;
-pub mod shard;
 pub mod stats;
 pub mod tu;
 pub mod window;
 pub mod world;
 
 pub use cache::{PathCache, PathCacheStats};
-pub use engine::{Engine, EngineConfig, ShardedEngine};
+pub use engine::{Engine, EngineConfig};
 pub use fault::{FaultPlan, RogueBehavior, TuDropFilter};
 pub use scheme::{ComputeModel, RouteVia, SchemeConfig};
-pub use shard::Partition;
 pub use stats::RunStats;
 pub use world::{RebalancePolicy, WorldEvent};

@@ -40,7 +40,7 @@ pub struct RunStats {
     pub unroutable: u64,
     /// World-timeline events applied mid-run (rate shifts, hub outages
     /// and recoveries, channel churn, rebalances). Semantic — identical
-    /// across cache/backend/worker configurations of the same run.
+    /// across cache and worker configurations of the same run.
     pub world_events_applied: u64,
     /// In-flight TUs expired (refunded) because a channel on their path
     /// closed mid-run. Semantic, like [`RunStats::aborted_tus`] (which
@@ -50,13 +50,13 @@ pub struct RunStats {
     /// (watermark-triggered rebuilds absorbing churn tombstones and the
     /// delta overlay). Semantic: compaction timing is a pure function of
     /// the mutation sequence, so this must be identical across
-    /// cache/backend/worker configurations of the same run.
+    /// cache and worker configurations of the same run.
     pub graph_compactions: u64,
     /// Adversarial fault interventions applied (channel drops, injected
     /// delays, rogue-hub stalls/misorders; griefed locks are counted
     /// separately). Semantic: fault decisions are pure hashes of the
     /// plan salt and the forward's identity, identical across
-    /// cache/backend/shard configurations.
+    /// cache and worker configurations.
     pub faults_injected: u64,
     /// Hop locks acquired by griefer TUs and then stalled for the plan's
     /// hold time (the lock-and-stall attack's footprint). Semantic.
@@ -86,13 +86,12 @@ pub struct RunStats {
     /// [`crate::EngineConfig::use_goal_directed`] on and the scheme's
     /// plan running accelerable searches for this payment (unit-cost
     /// KSP/EDS/Heuristic selection, landmark hub-leg trees, Flash mice
-    /// pools). Semantic across cache/backend/shard configurations of
+    /// pools). Semantic across cache and worker configurations of
     /// one run; it legitimately differs across the toggle itself, which
     /// is what [`RunStats::without_planner_counters`] is for.
     pub goal_directed_plans: u64,
     /// ALT landmark-table rebuilds (lazy, on topology-epoch mismatch).
-    /// Semantic across cache/backend/shard configurations: every
-    /// sharded replica keeps its table in lockstep, and freshness is
+    /// Semantic across cache and worker configurations: freshness is
     /// checked per plan whether or not the cache then absorbs the
     /// searches. Zero when goal-directed planning is off or the scheme
     /// never consults the table.
@@ -269,11 +268,8 @@ impl RunStats {
     /// single run reproduces it exactly (pinned by
     /// `merge_of_one_is_identity`); merging nothing is the zero run.
     ///
-    /// Note this is *summing* aggregation — for disjoint workloads
-    /// (sweep cells, split traces). The sharded engine's replicas are
-    /// **not** disjoint (each replays the full run), so
-    /// [`crate::ShardedEngine`] asserts replica equality and keeps one
-    /// payload instead of calling this.
+    /// This is *summing* aggregation, for disjoint workloads (sweep
+    /// cells, split traces).
     pub fn merge(runs: &[RunStats]) -> RunStats {
         let mut out = RunStats::default();
         for run in runs {

@@ -300,15 +300,6 @@ impl ScenarioBuilder {
         self.adversary(|a| a.griefers(fraction, hold_ms))
     }
 
-    /// Engine shard count: `k > 1` runs the payment trace on `k`
-    /// partitioned event loops ([`pcn_routing::ShardedEngine`]) whose
-    /// merged result is bit-identical to the single engine — a pure
-    /// cores-for-wall-clock trade. Clamped to at least 1.
-    pub fn shards(mut self, k: u32) -> Self {
-        self.params.shards = k.max(1);
-        self
-    }
-
     /// Root seed: every random decision in the run derives from it.
     pub fn seed(mut self, seed: u64) -> Self {
         self.params.seed = seed;
@@ -484,7 +475,6 @@ mod tests {
             .delay(0.2, 90)
             .rogue_hub(0, crate::RogueBehavior::Stall)
             .build();
-        input.shards = 4;
         input.seed = 4242;
 
         let crate::scenario::ScenarioParams {
@@ -500,7 +490,6 @@ mod tests {
             hotspot_skew,
             timeline,
             adversary,
-            shards,
             seed,
         } = ScenarioBuilder::from_params(input.clone()).build().params;
         assert_eq!(nodes, input.nodes);
@@ -515,7 +504,6 @@ mod tests {
         assert_eq!(hotspot_skew, input.hotspot_skew);
         assert_eq!(timeline, input.timeline);
         assert_eq!(adversary, input.adversary);
-        assert_eq!(shards, input.shards);
         assert_eq!(seed, input.seed);
     }
 
@@ -538,13 +526,6 @@ mod tests {
         assert!(!world.faults.ring_txs.is_empty());
         // An adversary-free builder still materializes an honest world.
         assert!(ScenarioBuilder::tiny().build_scenario().faults.is_empty());
-    }
-
-    #[test]
-    fn shards_knob_clamps_to_one() {
-        assert_eq!(ScenarioBuilder::tiny().shards(4).build().params.shards, 4);
-        assert_eq!(ScenarioBuilder::tiny().shards(0).build().params.shards, 1);
-        assert_eq!(ScenarioBuilder::tiny().build().params.shards, 1);
     }
 
     #[test]

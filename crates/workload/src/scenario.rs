@@ -44,11 +44,6 @@ pub struct ScenarioParams {
     /// Adversarial fault spec (griefers, circular demand, channel
     /// faults, rogue hubs); empty = every agent honest, the default.
     pub adversary: AdversarySpec,
-    /// Engine shard count: 1 (the default) runs the plain single engine,
-    /// `k > 1` runs `k` partitioned event loops merged deterministically
-    /// ([`pcn_routing::ShardedEngine`]) — bit-identical results either
-    /// way, this knob only trades cores for wall clock.
-    pub shards: u32,
     /// Root seed.
     pub seed: u64,
 }
@@ -69,7 +64,6 @@ impl ScenarioParams {
             hotspot_skew: 1.2,
             timeline: TimelineSpec::default(),
             adversary: AdversarySpec::default(),
-            shards: 1,
             seed: 1,
         }
     }
@@ -89,7 +83,6 @@ impl ScenarioParams {
             hotspot_skew: 1.2,
             timeline: TimelineSpec::default(),
             adversary: AdversarySpec::default(),
-            shards: 1,
             seed: 1,
         }
     }
@@ -109,7 +102,6 @@ impl ScenarioParams {
             hotspot_skew: 1.2,
             timeline: TimelineSpec::default(),
             adversary: AdversarySpec::default(),
-            shards: 1,
             seed: 1,
         }
     }

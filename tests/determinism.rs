@@ -170,46 +170,6 @@ fn footprint_scoped_cache_under_funds_churn() {
     }
 }
 
-#[test]
-fn event_queue_swap_is_semantics_preserving() {
-    // The acceptance bar for the calendar-queue event scheduler: a run
-    // on the bucketed time wheel produces bit-identical `RunStats` —
-    // including every diagnostic counter — to the same seed run on the
-    // reference binary heap, for all six schemes. Both backends share
-    // one total order, `(time, scheduling sequence)` (FIFO at equal
-    // timestamps), so the hot-path rewrite is provably
-    // semantics-preserving; the backends are additionally pinned
-    // op-for-op by the property suite in `tests/property_tests.rs`.
-    for scheme in [
-        SchemeChoice::Splicer,
-        SchemeChoice::Spider,
-        SchemeChoice::Flash,
-        SchemeChoice::Landmark,
-        SchemeChoice::A2L,
-        SchemeChoice::ShortestPath,
-    ] {
-        let spec = tiny_spec(scheme);
-        let with = |calendar| {
-            run_spec_tuned(
-                &spec,
-                &RunTuning {
-                    calendar_queue: Some(calendar),
-                    ..RunTuning::default()
-                },
-                &SchemeTuning::default(),
-            )
-        };
-        let calendar = with(true);
-        let heap = with(false);
-        assert_eq!(
-            calendar.report.stats,
-            heap.report.stats,
-            "{}: calendar-queue run diverged from the binary-heap run",
-            scheme.name()
-        );
-    }
-}
-
 /// A timeline mixing every dynamic-world ingredient: a rate surge and
 /// lull, a rank-0 hub outage with recovery, steady channel churn, and a
 /// mid-run liquidity rebalance — over the 10 s tiny world.
@@ -229,12 +189,11 @@ fn dynamic_spec(scheme: SchemeChoice) -> pcn_workload::ScenarioSpec {
 
 #[test]
 fn dynamic_world_is_semantics_preserving() {
-    // The first PR where a cache hit must stay bit-identical to
-    // recomputation *while the topology itself moves*: for all six
-    // schemes, under the full mixed timeline, (a) a cached run equals an
-    // uncached run modulo the diagnostic counters, (b) the calendar
-    // queue equals the reference heap bit-for-bit (world lane included),
-    // and (c) the timeline actually fired and expired TUs somewhere.
+    // A cache hit must stay bit-identical to recomputation *while the
+    // topology itself moves*: for all six schemes, under the full mixed
+    // timeline, (a) a cached run equals an uncached run modulo the
+    // diagnostic counters, and (b) the timeline actually fired and
+    // expired TUs somewhere.
     let mut any_expired = 0u64;
     for scheme in [
         SchemeChoice::Splicer,
@@ -271,20 +230,6 @@ fn dynamic_world_is_semantics_preserving() {
             scheme.name(),
             cached.report.stats.path_cache
         );
-        let heap = with(RunTuning {
-            calendar_queue: Some(false),
-            ..RunTuning::default()
-        });
-        let calendar = with(RunTuning {
-            calendar_queue: Some(true),
-            ..RunTuning::default()
-        });
-        assert_eq!(
-            calendar.report.stats,
-            heap.report.stats,
-            "{}: event-queue backends diverged under the world lane",
-            scheme.name()
-        );
         any_expired += cached.report.stats.tus_expired_by_close;
     }
     assert!(
@@ -310,9 +255,8 @@ fn compaction_under_churn_is_semantics_preserving() {
     // rebuilds that drop tombstones and merge the delta overlay — the
     // run must stay bit-identical in every configuration. For each
     // scheme: (a) compaction actually fired (the test would be vacuous
-    // otherwise), (b) cached ≡ uncached modulo the diagnostic counters,
-    // and (c) the calendar queue ≡ the reference heap bit-for-bit,
-    // compaction counter included.
+    // otherwise), and (b) cached ≡ uncached modulo the diagnostic
+    // counters.
     for scheme in [
         SchemeChoice::Splicer,
         SchemeChoice::Spider,
@@ -341,20 +285,6 @@ fn compaction_under_churn_is_semantics_preserving() {
             cached.report.stats.without_cache_counters(),
             uncached.report.stats.without_cache_counters(),
             "{}: cached run diverged from uncached run across compactions",
-            scheme.name()
-        );
-        let heap = with(RunTuning {
-            calendar_queue: Some(false),
-            ..RunTuning::default()
-        });
-        let calendar = with(RunTuning {
-            calendar_queue: Some(true),
-            ..RunTuning::default()
-        });
-        assert_eq!(
-            calendar.report.stats,
-            heap.report.stats,
-            "{}: event-queue backends diverged across compactions",
             scheme.name()
         );
     }
@@ -427,92 +357,14 @@ fn dynamic_world_grid_is_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn sharded_run_is_semantics_preserving() {
-    // The acceptance bar for the sharded engine: K partitioned event
-    // loops merged over the deterministic hub-handoff mesh produce
-    // results identical to the plain single engine, for all six schemes,
-    // K ∈ {1, 2, 4}, cached and uncached. Equality tiers:
-    //
-    // - K = 1 and every uncached run: full bit-identity, diagnostic
-    //   cache counters included (a single replica's merged counters are
-    //   the counters; a disabled cache counts zero everywhere).
-    // - K > 1 cached: identical modulo the cache counters — plan keys
-    //   split across K shard-local caches, so hits/misses legitimately
-    //   redistribute while every semantic field stays pinned.
-    //
-    // The same bars then repeat under the PR-5 mixed dynamic timeline
-    // (rate shifts, a hub outage, churn, a rebalance), proving world
-    // events replicate identically into every shard's world copy.
-    let schemes = [
-        SchemeChoice::Splicer,
-        SchemeChoice::Spider,
-        SchemeChoice::Flash,
-        SchemeChoice::Landmark,
-        SchemeChoice::A2L,
-        SchemeChoice::ShortestPath,
-    ];
-    for scheme in schemes {
-        for (label, spec) in [
-            ("static", tiny_spec(scheme)),
-            ("dynamic", dynamic_spec(scheme)),
-        ] {
-            let with = |tuning: RunTuning| run_spec_tuned(&spec, &tuning, &SchemeTuning::default());
-            for cache in [true, false] {
-                let plain = with(RunTuning {
-                    path_cache: Some(cache),
-                    ..RunTuning::default()
-                });
-                if label == "dynamic" {
-                    assert!(
-                        plain.report.stats.world_events_applied > 0,
-                        "{} ({label}): the timeline must fire",
-                        scheme.name()
-                    );
-                }
-                for k in [1u32, 2, 4] {
-                    let sharded = with(RunTuning {
-                        path_cache: Some(cache),
-                        shards: Some(k),
-                        ..RunTuning::default()
-                    });
-                    if k == 1 || !cache {
-                        assert_eq!(
-                            plain.report.stats,
-                            sharded.report.stats,
-                            "{} ({label}, cache={cache}): K={k} sharded run is not \
-                             bit-identical to the plain engine",
-                            scheme.name()
-                        );
-                    } else {
-                        assert_eq!(
-                            plain.report.stats.without_cache_counters(),
-                            sharded.report.stats.without_cache_counters(),
-                            "{} ({label}): K={k} cached sharded run diverged \
-                             semantically from the plain engine",
-                            scheme.name()
-                        );
-                        assert!(
-                            sharded.report.stats.path_cache.lookups() > 0,
-                            "{} ({label}): K={k} shard-local caches were never \
-                             consulted",
-                            scheme.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn goal_directed_is_semantics_preserving() {
     // The acceptance bar for goal-directed planning: flipping
     // `use_goal_directed` changes how plans are computed (bidirectional
     // Dijkstra with ALT landmark bounds, batched two-tree hub legs) but
     // not a single planned path. For all six schemes, cached and
-    // uncached, plain and K ∈ {1, 2, 4} sharded, a goal-directed run is
-    // bit-identical to a plain-search run modulo the diagnostic cache
-    // counters and the planner-observability counters
+    // uncached, a goal-directed run is bit-identical to a plain-search
+    // run modulo the diagnostic cache counters and the
+    // planner-observability counters
     // (`goal_directed_plans` / `landmark_rebuilds` / `nodes_settled`),
     // which are *about* the toggle and so legitimately differ across it.
     for scheme in [
@@ -572,47 +424,6 @@ fn goal_directed_is_semantics_preserving() {
                 assert!(
                     on.report.stats.goal_directed_plans > 0,
                     "{}: goal-directed runs must actually use the accelerator",
-                    scheme.name()
-                );
-            }
-            // Sharded replicas keep their planner state in lockstep: the
-            // semantic planner counters match the plain engine for every
-            // K, and per-replica settles sum to the plain engine's total
-            // (each plan is computed by exactly one owner).
-            for k in [1u32, 2, 4] {
-                let sharded = with(RunTuning {
-                    path_cache: Some(cache),
-                    goal_directed: Some(true),
-                    shards: Some(k),
-                    ..RunTuning::default()
-                });
-                if k == 1 || !cache {
-                    assert_eq!(
-                        on.report.stats,
-                        sharded.report.stats,
-                        "{} (cache={cache}): K={k} goal-directed sharded run is \
-                         not bit-identical to the plain engine",
-                        scheme.name()
-                    );
-                } else {
-                    assert_eq!(
-                        on.report.stats.without_cache_counters(),
-                        sharded.report.stats.without_cache_counters(),
-                        "{} (cache={cache}): K={k} goal-directed sharded run \
-                         diverged semantically from the plain engine",
-                        scheme.name()
-                    );
-                }
-                assert_eq!(
-                    on.report.stats.goal_directed_plans,
-                    sharded.report.stats.goal_directed_plans,
-                    "{}: K={k} replicas diverged on goal_directed_plans",
-                    scheme.name()
-                );
-                assert_eq!(
-                    on.report.stats.landmark_rebuilds,
-                    sharded.report.stats.landmark_rebuilds,
-                    "{}: K={k} replicas diverged on landmark_rebuilds",
                     scheme.name()
                 );
             }
@@ -677,11 +488,9 @@ fn adversarial_spec(scheme: SchemeChoice) -> pcn_workload::ScenarioSpec {
 fn adversarial_world_is_semantics_preserving() {
     // The determinism contract does not relax under attack: for all six
     // schemes, under the full fault mix, (a) the fault layer actually
-    // fired (the test would be vacuous otherwise), (b) cached ≡ uncached
-    // modulo the diagnostic cache counters, (c) the calendar queue ≡ the
-    // reference heap bit-for-bit, and (d) K ∈ {1, 2, 4} sharded runs
-    // match the plain engine — fault decisions are pure hashes of
-    // replicated state, never of scheduling.
+    // fired (the test would be vacuous otherwise), and (b) cached ≡
+    // uncached modulo the diagnostic cache counters — fault decisions
+    // are pure hashes of the run's state, never of the cache.
     for scheme in [
         SchemeChoice::Splicer,
         SchemeChoice::Spider,
@@ -716,34 +525,6 @@ fn adversarial_world_is_semantics_preserving() {
             "{}: cached run diverged from uncached run under attack",
             scheme.name()
         );
-        let heap = with(RunTuning {
-            calendar_queue: Some(false),
-            ..RunTuning::default()
-        });
-        let calendar = with(RunTuning {
-            calendar_queue: Some(true),
-            ..RunTuning::default()
-        });
-        assert_eq!(
-            calendar.report.stats,
-            heap.report.stats,
-            "{}: event-queue backends diverged under attack",
-            scheme.name()
-        );
-        for k in [1u32, 2, 4] {
-            let sharded = with(RunTuning {
-                path_cache: Some(false),
-                shards: Some(k),
-                ..RunTuning::default()
-            });
-            assert_eq!(
-                uncached.report.stats,
-                sharded.report.stats,
-                "{}: K={k} sharded adversarial run is not bit-identical \
-                 to the plain engine",
-                scheme.name()
-            );
-        }
     }
 }
 
@@ -860,8 +641,8 @@ fn semantic_runs_match_golden() {
     // compared with the committed text. A mismatch is a behaviour
     // change: explain it in CHANGES.md and commit the regenerated text
     // this test prints.
-    let specs: [(&str, fn(SchemeChoice) -> pcn_workload::ScenarioSpec); 4] = [
-        ("tiny", tiny_spec),
+    let specs = [
+        ("tiny", tiny_spec as fn(_) -> _),
         ("dynamic", dynamic_spec),
         ("compacting", compacting_spec),
         ("adversarial", adversarial_spec),

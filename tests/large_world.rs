@@ -10,7 +10,7 @@
 
 use pcn_graph::{watts_strogatz, Graph};
 use pcn_routing::channel::NetworkFunds;
-use pcn_routing::engine::{Engine, EngineConfig, ShardedEngine};
+use pcn_routing::engine::{Engine, EngineConfig};
 use pcn_routing::scheme::{ComputeModel, SchemeConfig};
 use pcn_routing::tu::Payment;
 use pcn_sim::SimRng;
@@ -128,63 +128,5 @@ fn large_world_routes_end_to_end() {
     assert!(
         stats.tsr() > 0.5,
         "a static 100k world should complete most payments, got {stats}"
-    );
-}
-
-#[test]
-#[ignore = "release-mode scale gate; run with --release -- --ignored"]
-fn large_world_routes_sharded() {
-    if cfg!(debug_assertions) {
-        eprintln!("skipping 100k-node sharded run in a debug binary");
-        return;
-    }
-    // The 100k-node world through four partitioned event loops: the
-    // sharded engine must hold the same invariants as the plain gate
-    // above AND stay semantically bit-identical to the single engine at
-    // this scale (a flat scheme, so ownership is the hash partition).
-    let g = large_graph();
-    let funds = NetworkFunds::uniform(&g, Amount::from_tokens(500));
-    let payments = hotspot_payments(&mut StdRng::seed_from_u64(11));
-    let scheme = SchemeConfig {
-        compute: ComputeModel {
-            client_secs_per_edge: 0.0,
-            hub_secs_per_edge: 0.0,
-            crypto_overhead: SimDuration::ZERO,
-        },
-        ..SchemeConfig::shortest_path()
-    };
-    let plain = Engine::new(
-        g.clone(),
-        funds.clone(),
-        scheme.clone(),
-        EngineConfig::default(),
-        SimRng::seed(1),
-    )
-    .run(payments.clone());
-    let stats = ShardedEngine::new(
-        g,
-        funds,
-        scheme,
-        EngineConfig::default(),
-        SimRng::seed(1),
-        4,
-    )
-    .run(payments);
-    assert_eq!(stats.generated, PAYMENTS as u64);
-    assert!(stats.is_consistent(), "bookkeeping drifted: {stats}");
-    assert!(
-        stats.completed_value <= stats.generated_value,
-        "value conservation: completed {} exceeds generated {}",
-        stats.completed_value,
-        stats.generated_value
-    );
-    assert!(
-        stats.tsr() > 0.5,
-        "a sharded static 100k world should complete most payments, got {stats}"
-    );
-    assert_eq!(
-        plain.without_cache_counters(),
-        stats.without_cache_counters(),
-        "K=4 sharded run diverged semantically from the plain engine at 100k nodes"
     );
 }
