@@ -24,7 +24,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pcn_graph::SearchWorkspace;
-use pcn_routing::cache::{CacheKey, EpochStamp, Volatility};
+use pcn_routing::cache::{CacheKey, EpochStamp};
 use pcn_routing::channel::NetworkFunds;
 use pcn_routing::paths::{
     select_paths, select_paths_footprint, select_paths_in, BalanceView, PathSelect,
@@ -119,30 +119,24 @@ fn bench_hot_path(c: &mut Criterion) {
     let now = EpochStamp {
         topology: g.topology_epoch(),
         funds: funds.funds_epoch(),
-        prices: 0,
     };
     group.bench_function(format!("cached_{QUERIES}q_{NODES}n"), |b| {
         b.iter(|| {
             for &(src, dst) in &pairs {
-                let plan = cache.get_or_compute(
-                    CacheKey::plan(src, dst),
-                    now,
-                    Volatility::CapacityOnly,
-                    || {
-                        select_paths_in(
-                            &g,
-                            &mut ws,
-                            &funds,
-                            src,
-                            dst,
-                            K,
-                            PathSelect::Edw,
-                            BalanceView::CapacityOnly,
-                            Amount::from_tokens(1),
-                            false,
-                        )
-                    },
-                );
+                let plan = cache.get_or_compute(CacheKey::plan(src, dst), now, &funds, || {
+                    select_paths_in(
+                        &g,
+                        &mut ws,
+                        &funds,
+                        src,
+                        dst,
+                        K,
+                        PathSelect::Edw,
+                        BalanceView::CapacityOnly,
+                        Amount::from_tokens(1),
+                        false,
+                    )
+                });
                 black_box(plan);
             }
         })
@@ -165,7 +159,6 @@ fn bench_hot_path(c: &mut Criterion) {
             let now = EpochStamp {
                 topology: g.topology_epoch(),
                 funds: funds.funds_epoch(),
-                prices: 0,
             };
             for &(src, dst) in &pairs {
                 let plan =

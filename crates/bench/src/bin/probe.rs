@@ -16,7 +16,7 @@ fn main() {
         println!(
             "{:12} tsr={:.3} thr={:.3} lat={:.3}s gen={} done={} fail={} unroutable={} \
              tus: del={} abort={} marked={} drained={} hubs={:?} \
-             cache={}h/{}m/{}i[{}t/{}f/{}p/{}fp]/{}e ({:.0}% hit) world={}ev/{}exp \
+             cache={}h/{}m/{}i[{}t/{}fp]/{}e ({:.0}% hit) world={}ev/{}exp \
              adv={}f/{}g/{}dl honest={:.3} planner={}gd/{}lr/{}ns pps={:.0}",
             r.scheme,
             s.tsr(),
@@ -35,8 +35,6 @@ fn main() {
             s.path_cache.misses,
             s.path_cache.invalidations(),
             s.path_cache.inv_topology,
-            s.path_cache.inv_funds,
-            s.path_cache.inv_price,
             s.path_cache.inv_footprint,
             s.path_cache.evictions,
             100.0 * s.path_cache.hit_rate(),

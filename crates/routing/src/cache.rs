@@ -10,32 +10,30 @@
 //! `Arc<[Path]>`, so a hit hands out a reference-counted plan instead of
 //! deep-cloning it.
 //!
-//! Two freshness regimes implement the contract:
+//! Each entry snapshots an [`EpochStamp`] — the global counters whose
+//! movement can change a path computation's inputs — and one of two
+//! freshness regimes, chosen by the lookup that stored it, decides when
+//! the entry is stale:
 //!
-//! * **Epoch-stamped** ([`PathCache::get_or_compute`]): the entry
-//!   snapshots an [`EpochStamp`] — the three global counters whose
-//!   movement can change a path computation's inputs
-//!   ([`pcn_graph::Graph::topology_epoch`] per structural mutation,
-//!   [`crate::channel::NetworkFunds::funds_epoch`] per balance movement,
-//!   [`crate::prices::PriceTable::price_epoch`] per τ tick). The entry's
-//!   [`Volatility`] selects which counters it watches: capacity-only
-//!   computations read channel *totals* (constant for a channel's
-//!   lifetime) and stale only on topology changes; live ones stale on
-//!   any movement anywhere.
+//! * **Capacity-only** ([`PathCache::get_or_compute`]): the computation
+//!   reads the topology and channel *totals*, which are constant for a
+//!   channel's lifetime, so the entry stales only when
+//!   [`pcn_graph::Graph::topology_epoch`] moves.
 //! * **Footprint-scoped** ([`PathCache::get_or_compute_scoped`]): for
-//!   live-balance computations, "any movement anywhere" is far too
-//!   coarse — it pinned hub-scheme (Splicer) hit rates at ~0%. The
-//!   computation instead records the **channel dependency footprint** it
+//!   live-balance computations. Staling them on any balance movement
+//!   anywhere would keep hub-scheme (Splicer) hit rates near zero, so the
+//!   computation records the **channel dependency footprint** it
 //!   actually read (a [`pcn_graph::Footprint`] threaded through the
 //!   width closure, see `crate::paths::select_paths_footprint`) and the
 //!   entry snapshots each footprint channel's
 //!   [`crate::channel::NetworkFunds::channel_epoch`]. The entry is fresh
-//!   iff the topology epoch matches and either the global funds epoch is
-//!   unchanged (the cheap "nothing moved at all" fast path) or every
-//!   footprint channel's epoch is unchanged. Funds movements on channels
-//!   outside the footprint cannot alter the result, so such entries
-//!   survive unrelated traffic. Scoped computations read balances only —
-//!   never the price table — so they do not watch the price epoch.
+//!   iff the topology epoch matches and either the global
+//!   [`crate::channel::NetworkFunds::funds_epoch`] is unchanged (the
+//!   cheap "nothing moved at all" fast path) or every footprint
+//!   channel's epoch is unchanged. Funds movements on channels outside
+//!   the footprint cannot alter the result, so such entries survive
+//!   unrelated traffic. Scoped computations read balances only — never
+//!   the price table.
 //!
 //! The cache is bounded by **weight**, not bare entry count: an entry
 //! weighs `max(1, footprint pairs / FOOTPRINT_WEIGHT_DIVISOR)` units
@@ -43,8 +41,8 @@
 //! one live search can consult a large fraction of all channels and its
 //! entry stores one `(channel, epoch)` pair per consulted channel —
 //! cannot blow worst-case memory past `capacity ×
-//! FOOTPRINT_WEIGHT_DIVISOR` pairs. Unscoped entries weigh one unit, so
-//! for them the bound degenerates to the entry count. When inserting
+//! FOOTPRINT_WEIGHT_DIVISOR` pairs. Capacity-only entries weigh one unit,
+//! so for them the bound degenerates to the entry count. When inserting
 //! would exceed the capacity, the cache evicts the first provably-stale
 //! entry among a constant-size window of the oldest entries (insertion
 //! order), falling back to the oldest entry when none in the window is
@@ -66,40 +64,16 @@ use pcn_types::{ChannelId, NodeId};
 
 use crate::channel::NetworkFunds;
 
-/// Snapshot of the three global invalidation counters an entry may
+/// Snapshot of the two global invalidation counters an entry may
 /// depend on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EpochStamp {
     /// Structural graph mutations ([`pcn_graph::Graph::topology_epoch`]).
     pub topology: u64,
     /// Global channel balance movements
-    /// ([`crate::channel::NetworkFunds::funds_epoch`]).
+    /// ([`crate::channel::NetworkFunds::funds_epoch`]): the
+    /// footprint-scoped regime's "nothing moved at all" fast path.
     pub funds: u64,
-    /// Price ticks ([`crate::prices::PriceTable::price_epoch`]).
-    pub prices: u64,
-}
-
-/// How volatile a cached computation's inputs are — which epochs
-/// invalidate it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Volatility {
-    /// The computation reads only the topology and constant channel
-    /// totals: stale only when the topology epoch moves.
-    CapacityOnly,
-    /// The computation reads live balances (and, conservatively, prices):
-    /// stale when any epoch moves. Prefer
-    /// [`PathCache::get_or_compute_scoped`], which narrows this to the
-    /// channels actually read.
-    Live,
-}
-
-impl Volatility {
-    fn still_fresh(self, entry: EpochStamp, now: EpochStamp) -> bool {
-        match self {
-            Volatility::CapacityOnly => entry.topology == now.topology,
-            Volatility::Live => entry == now,
-        }
-    }
 }
 
 /// Which kind of plan a cached entry holds. One engine runs one scheme,
@@ -171,10 +145,6 @@ enum StaleCause {
     /// The topology epoch moved (structural mutation, channel
     /// close/reopen, hub outage).
     Topology,
-    /// The global funds epoch moved under an unscoped live entry.
-    Funds,
-    /// The price epoch moved under an unscoped live entry.
-    Price,
     /// A channel inside a scoped entry's footprint moved funds.
     Footprint,
 }
@@ -192,12 +162,6 @@ pub struct PathCacheStats {
     /// (structural mutations: channel close/open, hub outages, node
     /// additions).
     pub inv_topology: u64,
-    /// Stale entries recomputed because the global funds epoch moved
-    /// under an unscoped live entry.
-    pub inv_funds: u64,
-    /// Stale entries recomputed because the price epoch moved under an
-    /// unscoped live entry.
-    pub inv_price: u64,
     /// Stale footprint-scoped entries recomputed because a channel in
     /// their own footprint moved funds.
     pub inv_footprint: u64,
@@ -208,7 +172,7 @@ pub struct PathCacheStats {
 impl PathCacheStats {
     /// Total invalidations (stale entries recomputed), across causes.
     pub fn invalidations(&self) -> u64 {
-        self.inv_topology + self.inv_funds + self.inv_price + self.inv_footprint
+        self.inv_topology + self.inv_footprint
     }
 
     /// Total queries that went through the cache.
@@ -227,7 +191,7 @@ impl PathCacheStats {
     }
 
     /// Adds `other`'s counters into this one, per cause — the
-    /// aggregation shards and stat merges use. The exhaustive
+    /// aggregation [`crate::RunStats::merge`] uses. The exhaustive
     /// destructure makes adding a counter without deciding its merge
     /// role a compile error.
     pub fn absorb(&mut self, other: &PathCacheStats) {
@@ -235,16 +199,12 @@ impl PathCacheStats {
             hits,
             misses,
             inv_topology,
-            inv_funds,
-            inv_price,
             inv_footprint,
             evictions,
         } = other;
         self.hits += hits;
         self.misses += misses;
         self.inv_topology += inv_topology;
-        self.inv_funds += inv_funds;
-        self.inv_price += inv_price;
         self.inv_footprint += inv_footprint;
         self.evictions += evictions;
     }
@@ -252,8 +212,6 @@ impl PathCacheStats {
     fn record_stale(&mut self, cause: StaleCause) {
         match cause {
             StaleCause::Topology => self.inv_topology += 1,
-            StaleCause::Funds => self.inv_funds += 1,
-            StaleCause::Price => self.inv_price += 1,
             StaleCause::Footprint => self.inv_footprint += 1,
         }
     }
@@ -261,10 +219,9 @@ impl PathCacheStats {
 
 struct CacheEntry {
     stamp: EpochStamp,
-    volatility: Volatility,
     /// `(channel, per-channel funds epoch at compute time)` for every
-    /// channel the computation read — `Some` only for footprint-scoped
-    /// entries.
+    /// channel the computation read — `Some` for footprint-scoped
+    /// entries, `None` for capacity-only ones.
     footprint: Option<Box<[(ChannelId, u64)]>>,
     /// Capacity units this entry counts against the bound:
     /// `max(1, footprint pairs / FOOTPRINT_WEIGHT_DIVISOR)`.
@@ -283,38 +240,25 @@ fn weight_of(footprint_pairs: usize) -> usize {
 }
 
 impl CacheEntry {
-    /// Whether the entry is provably fresh at `now`. Scoped entries need
-    /// `funds` for the per-channel check; without it they are fresh only
-    /// on the global fast path (conservative, still correct).
-    fn is_fresh(&self, now: EpochStamp, funds: Option<&NetworkFunds>) -> bool {
-        match &self.footprint {
-            Some(fp) => {
-                self.stamp.topology == now.topology
-                    && (self.stamp.funds == now.funds
-                        || funds.is_some_and(|f| {
-                            fp.iter().all(|&(ch, epoch)| f.channel_epoch(ch) == epoch)
-                        }))
-            }
-            None => self.volatility.still_fresh(self.stamp, now),
-        }
+    /// Whether the entry is provably fresh at `now`.
+    fn is_fresh(&self, now: EpochStamp, funds: &NetworkFunds) -> bool {
+        self.stamp.topology == now.topology
+            && self.footprint.as_ref().is_none_or(|fp| {
+                self.stamp.funds == now.funds
+                    || fp
+                        .iter()
+                        .all(|&(ch, epoch)| funds.channel_epoch(ch) == epoch)
+            })
     }
 
     /// Attributes a (known-stale) entry's staleness to the input that
-    /// moved. Exactly one cause is charged, checked in watch order:
-    /// topology first (it invalidates every regime), then the regime's
-    /// own counters.
+    /// moved: the topology stales both regimes; with the topology
+    /// unchanged, only a footprint channel can have moved.
     fn stale_cause(&self, now: EpochStamp) -> StaleCause {
         if self.stamp.topology != now.topology {
             StaleCause::Topology
-        } else if self.footprint.is_some() {
-            // Scoped entry, topology unchanged: the per-channel check
-            // failed, i.e. a footprint channel itself moved (or the
-            // lookup lacked funds to prove otherwise).
-            StaleCause::Footprint
-        } else if self.stamp.funds != now.funds {
-            StaleCause::Funds
         } else {
-            StaleCause::Price
+            StaleCause::Footprint
         }
     }
 }
@@ -367,7 +311,7 @@ impl PathCache {
         }
     }
 
-    /// The capacity bound (weight units; an unscoped entry weighs one).
+    /// The capacity bound (weight units; a capacity-only entry weighs one).
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -377,42 +321,26 @@ impl PathCache {
         self.weight
     }
 
-    /// Returns the cached paths for `key` if the entry is still fresh at
-    /// `now`; otherwise runs `compute`, stores its result stamped with
-    /// `now`/`volatility`, and returns it. Counters are updated either
-    /// way.
+    /// Capacity-only lookup for computations that read the topology and
+    /// channel totals only: returns the cached paths for `key` while the
+    /// topology epoch is unchanged since they were computed; otherwise
+    /// runs `compute`, stores its result stamped with `now`, and returns
+    /// it. Counters are updated either way. `funds` lets a capacity
+    /// eviction triggered by the insert run the per-channel footprint
+    /// check on candidate victims, so footprint-fresh scoped entries are
+    /// not misjudged stale just because the global funds epoch moved.
     pub fn get_or_compute<F>(
         &mut self,
         key: CacheKey,
         now: EpochStamp,
-        volatility: Volatility,
-        compute: F,
-    ) -> Arc<[Path]>
-    where
-        F: FnOnce() -> Vec<Path>,
-    {
-        self.get_or_compute_with(key, now, volatility, None, compute)
-    }
-
-    /// [`PathCache::get_or_compute`] with `funds` available: the lookup
-    /// itself is identical, but a capacity eviction triggered by the
-    /// insert can then run the per-channel footprint check on candidate
-    /// victims, so footprint-fresh scoped entries are not misjudged
-    /// stale just because the global funds epoch moved. Callers holding
-    /// a [`NetworkFunds`] (the engine always does) should prefer this.
-    pub fn get_or_compute_with<F>(
-        &mut self,
-        key: CacheKey,
-        now: EpochStamp,
-        volatility: Volatility,
-        funds: Option<&NetworkFunds>,
+        funds: &NetworkFunds,
         compute: F,
     ) -> Arc<[Path]>
     where
         F: FnOnce() -> Vec<Path>,
     {
         match self.entries.get(&key) {
-            Some(entry) if entry.is_fresh(now, None) => {
+            Some(entry) if entry.is_fresh(now, funds) => {
                 self.stats.hits += 1;
                 Arc::clone(&entry.paths)
             }
@@ -421,7 +349,6 @@ impl PathCache {
                 let paths: Arc<[Path]> = compute().into();
                 let entry = CacheEntry {
                     stamp: now,
-                    volatility,
                     footprint: None,
                     weight: 1,
                     paths: Arc::clone(&paths),
@@ -451,7 +378,7 @@ impl PathCache {
         F: FnOnce(&mut Footprint) -> Vec<Path>,
     {
         match self.entries.get(&key) {
-            Some(entry) if entry.is_fresh(now, Some(funds)) => {
+            Some(entry) if entry.is_fresh(now, funds) => {
                 self.stats.hits += 1;
                 Arc::clone(&entry.paths)
             }
@@ -467,12 +394,11 @@ impl PathCache {
                     .collect();
                 let entry = CacheEntry {
                     stamp: now,
-                    volatility: Volatility::Live,
                     weight: weight_of(snapshot.len()),
                     footprint: Some(snapshot),
                     paths: Arc::clone(&paths),
                 };
-                self.store(key, entry, stale, now, Some(funds));
+                self.store(key, entry, stale, now, funds);
                 paths
             }
         }
@@ -488,7 +414,7 @@ impl PathCache {
         entry: CacheEntry,
         stale: Option<StaleCause>,
         now: EpochStamp,
-        funds: Option<&NetworkFunds>,
+        funds: &NetworkFunds,
     ) {
         if let Some(cause) = stale {
             self.stats.record_stale(cause);
@@ -521,16 +447,16 @@ impl PathCache {
     /// them is stale, until the incoming entry fits (or nothing
     /// evictable remains — a lone entry heavier than the whole cache is
     /// admitted rather than thrashing). `exclude` protects a key that
-    /// must survive (an in-place replacement). `funds` (when the caller
-    /// has it) lets the staleness check run the per-channel footprint
-    /// comparison, so footprint-fresh entries are not misjudged stale
-    /// just because the global epoch moved. Deterministic — the scan
+    /// must survive (an in-place replacement). `funds` lets the staleness
+    /// check run the per-channel footprint comparison, so footprint-fresh
+    /// entries are not misjudged stale just because the global epoch
+    /// moved. Deterministic — the scan
     /// never depends on hash order.
     fn evict_to_fit(
         &mut self,
         incoming: usize,
         now: EpochStamp,
-        funds: Option<&NetworkFunds>,
+        funds: &NetworkFunds,
         exclude: Option<CacheKey>,
     ) {
         while self.weight + incoming > self.capacity {
@@ -590,21 +516,23 @@ mod tests {
         Path::new(vec![n(0), n(1)], vec![ch])
     }
 
-    fn stamp(t: u64, f: u64, p: u64) -> EpochStamp {
-        EpochStamp {
-            topology: t,
-            funds: f,
-            prices: p,
-        }
+    fn stamp(topology: u64, funds: u64) -> EpochStamp {
+        EpochStamp { topology, funds }
+    }
+
+    /// Capacity-only freshness never reads the funds; these only back
+    /// eviction checks of scoped entries.
+    fn no_funds() -> NetworkFunds {
+        NetworkFunds::default()
     }
 
     #[test]
     fn first_lookup_is_a_miss_then_hits() {
-        let mut cache = PathCache::new();
+        let (mut cache, funds) = (PathCache::new(), no_funds());
         let key = CacheKey::plan(n(0), n(1));
-        let now = stamp(1, 1, 1);
-        let a = cache.get_or_compute(key, now, Volatility::CapacityOnly, || vec![path01()]);
-        let b = cache.get_or_compute(key, now, Volatility::CapacityOnly, || {
+        let now = stamp(1, 1);
+        let a = cache.get_or_compute(key, now, &funds, || vec![path01()]);
+        let b = cache.get_or_compute(key, now, &funds, || {
             panic!("fresh entry must not recompute")
         });
         assert_eq!(a.len(), 1);
@@ -623,63 +551,34 @@ mod tests {
 
     #[test]
     fn hits_share_the_stored_allocation() {
-        let mut cache = PathCache::new();
+        let (mut cache, funds) = (PathCache::new(), no_funds());
         let key = CacheKey::plan(n(0), n(1));
-        let now = stamp(1, 1, 1);
-        let a = cache.get_or_compute(key, now, Volatility::CapacityOnly, || vec![path01()]);
-        let b = cache.get_or_compute(key, now, Volatility::CapacityOnly, Vec::new);
+        let now = stamp(1, 1);
+        let a = cache.get_or_compute(key, now, &funds, || vec![path01()]);
+        let b = cache.get_or_compute(key, now, &funds, Vec::new);
         assert!(Arc::ptr_eq(&a, &b), "a hit must not deep-clone the plan");
     }
 
     #[test]
-    fn capacity_only_entries_survive_funds_and_price_movement() {
-        let mut cache = PathCache::new();
+    fn capacity_only_entries_survive_funds_movement() {
+        let (mut cache, funds) = (PathCache::new(), no_funds());
         let key = CacheKey::plan(n(0), n(1));
-        cache.get_or_compute(key, stamp(3, 10, 2), Volatility::CapacityOnly, || {
-            vec![path01()]
-        });
-        // Funds and prices moved; topology did not.
-        cache.get_or_compute(key, stamp(3, 99, 7), Volatility::CapacityOnly, || {
-            panic!("capacity-only entry must ignore funds/price epochs")
+        cache.get_or_compute(key, stamp(3, 10), &funds, || vec![path01()]);
+        // Funds moved; topology did not.
+        cache.get_or_compute(key, stamp(3, 99), &funds, || {
+            panic!("capacity-only entry must ignore the funds epoch")
         });
         assert_eq!(cache.stats().hits, 1);
         // Topology moved: stale, attributed to the topology epoch.
-        cache.get_or_compute(key, stamp(4, 99, 7), Volatility::CapacityOnly, Vec::new);
+        cache.get_or_compute(key, stamp(4, 99), &funds, Vec::new);
         assert_eq!(cache.stats().invalidations(), 1);
         assert_eq!(cache.stats().inv_topology, 1);
     }
 
     #[test]
-    fn live_entries_stale_on_any_epoch() {
-        let mut cache = PathCache::new();
-        let key = CacheKey::plan(n(0), n(1));
-        for (i, now) in [
-            stamp(1, 1, 1), // miss
-            stamp(1, 2, 1), // funds moved
-            stamp(1, 2, 2), // prices moved
-            stamp(2, 2, 2), // topology moved
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            cache.get_or_compute(key, now, Volatility::Live, || vec![path01()]);
-            assert_eq!(cache.stats().misses, 1, "lookup {i}");
-        }
-        assert_eq!(cache.stats().invalidations(), 3);
-        // One invalidation per cause, in the order the stamps moved.
-        let s = cache.stats();
-        assert_eq!((s.inv_funds, s.inv_price, s.inv_topology), (1, 1, 1));
-        // Unchanged stamp: served from cache.
-        cache.get_or_compute(key, stamp(2, 2, 2), Volatility::Live, || {
-            panic!("identical stamp must hit")
-        });
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
     fn classes_partition_the_key_space() {
-        let mut cache = PathCache::new();
-        let now = stamp(1, 1, 1);
+        let (mut cache, funds) = (PathCache::new(), no_funds());
+        let now = stamp(1, 1);
         let mice = CacheKey {
             source: n(0),
             dest: n(1),
@@ -690,10 +589,8 @@ mod tests {
             dest: n(1),
             class: PlanClass::Elephant,
         };
-        cache.get_or_compute(mice, now, Volatility::CapacityOnly, || vec![path01()]);
-        let got = cache
-            .get_or_compute(elephant, now, Volatility::CapacityOnly, Vec::new)
-            .len();
+        cache.get_or_compute(mice, now, &funds, || vec![path01()]);
+        let got = cache.get_or_compute(elephant, now, &funds, Vec::new).len();
         assert_eq!(got, 0, "elephant entry is distinct from the mice pool");
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().misses, 2);
@@ -714,7 +611,6 @@ mod tests {
         EpochStamp {
             topology: g.topology_epoch(),
             funds: funds.funds_epoch(),
-            prices: 0,
         }
     }
 
@@ -775,50 +671,36 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_stale_first_then_oldest() {
+        let (g, mut funds, _) = scoped_world();
         let mut cache = PathCache::with_capacity(2);
-        let fresh_now = stamp(1, 1, 1);
-        // Key A: live entry that will be stale at insert time of C.
-        cache.get_or_compute(
-            CacheKey::plan(n(0), n(1)),
-            fresh_now,
-            Volatility::Live,
-            || vec![path01()],
-        );
-        // Key B: capacity-only entry, stays fresh across funds movement.
-        cache.get_or_compute(
-            CacheKey::plan(n(0), n(2)),
-            fresh_now,
-            Volatility::CapacityOnly,
-            || vec![path01()],
-        );
-        // Funds moved; inserting key C must evict stale A, not fresh B.
-        let later = stamp(1, 2, 1);
-        cache.get_or_compute(
-            CacheKey::plan(n(0), n(3)),
-            later,
-            Volatility::CapacityOnly,
-            || vec![path01()],
-        );
+        let now = scoped_stamp(&g, &funds);
+        // A: the oldest entry, capacity-only — fresh across funds
+        // movement.
+        let a = CacheKey::plan(n(0), n(1));
+        cache.get_or_compute(a, now, &funds, || vec![path01()]);
+        // B: scoped over the 0-1-2 line — stale once a line channel moves.
+        let b = CacheKey::plan(n(0), n(2));
+        cache.get_or_compute_scoped(b, now, &funds, |fp| scoped_compute(&g, fp));
+        funds
+            .lock(pcn_types::ChannelId::new(0), n(0), Amount::from_tokens(1))
+            .unwrap();
+        let later = scoped_stamp(&g, &funds);
+        // Inserting C at capacity must evict stale B, not the older A.
+        let c = CacheKey::plan(n(0), n(3));
+        cache.get_or_compute(c, later, &funds, || vec![path01()]);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        // A is gone (re-inserting it is a miss, evicting the oldest —
-        // now B — since everything resident is fresh).
-        cache.get_or_compute(
-            CacheKey::plan(n(0), n(1)),
-            later,
-            Volatility::CapacityOnly,
-            Vec::new,
-        );
+        cache.get_or_compute(a, later, &funds, || {
+            panic!("fresh A must survive the eviction")
+        });
+        assert_eq!(cache.stats().hits, 1);
+        // B is gone: re-inserting it is a miss, and with every resident
+        // entry fresh the eviction falls back to the oldest — A.
+        cache.get_or_compute_scoped(b, later, &funds, |fp| scoped_compute(&g, fp));
         assert_eq!(cache.stats().misses, 4);
         assert_eq!(cache.stats().evictions, 2);
-        // B was the oldest fresh entry: looking it up misses again.
-        cache.get_or_compute(
-            CacheKey::plan(n(0), n(2)),
-            later,
-            Volatility::CapacityOnly,
-            Vec::new,
-        );
-        assert_eq!(cache.stats().misses, 5);
+        cache.get_or_compute(a, later, &funds, Vec::new);
+        assert_eq!(cache.stats().misses, 5, "A was the oldest fresh entry");
         assert_eq!(cache.len(), 2);
     }
 
@@ -834,10 +716,13 @@ mod tests {
         let a = CacheKey::plan(n(0), n(2));
         let now = scoped_stamp(&g, &funds);
         cache.get_or_compute_scoped(a, now, &funds, |fp| scoped_compute(&g, fp));
-        // B: unscoped live entry — stale after any movement anywhere.
-        let b = CacheKey::plan(n(1), n(2));
-        cache.get_or_compute(b, now, Volatility::Live, || vec![path01()]);
-        // Unrelated churn: A stays footprint-fresh, B goes stale.
+        // B: scoped entry whose footprint is the unrelated channel.
+        let b = CacheKey::plan(n(3), n(4));
+        cache.get_or_compute_scoped(b, now, &funds, |fp| {
+            fp.record(unrelated);
+            vec![path01()]
+        });
+        // Movement on B's channel: A stays footprint-fresh, B goes stale.
         funds.lock(unrelated, n(3), Amount::from_tokens(1)).unwrap();
         let now = scoped_stamp(&g, &funds);
         // Inserting C at capacity must evict stale B, not footprint-fresh
@@ -857,14 +742,13 @@ mod tests {
             panic!("footprint-fresh entry must survive eviction")
         });
         assert_eq!(cache.stats().hits, 1);
-        cache.get_or_compute(b, now, Volatility::Live, Vec::new);
+        cache.get_or_compute_scoped(b, now, &funds, |_| Vec::new());
         assert_eq!(cache.stats().misses, 4, "B was evicted, not A");
     }
 
-    /// The same guarantee for evictions triggered by *unscoped* inserts:
-    /// `get_or_compute_with` carries `funds`, so a capacity-only insert
-    /// (e.g. a hub access leg) must not evict a footprint-fresh scoped
-    /// entry either.
+    /// The same guarantee for evictions triggered by capacity-only
+    /// inserts (e.g. a hub access leg): they must not evict a
+    /// footprint-fresh scoped entry either.
     #[test]
     fn unscoped_inserts_with_funds_spare_scoped_entries() {
         let (g, mut funds, unrelated) = scoped_world();
@@ -872,22 +756,22 @@ mod tests {
         let a = CacheKey::plan(n(0), n(2));
         let now = scoped_stamp(&g, &funds);
         cache.get_or_compute_scoped(a, now, &funds, |fp| scoped_compute(&g, fp));
-        let b = CacheKey::plan(n(1), n(2));
-        cache.get_or_compute(b, now, Volatility::Live, || vec![path01()]);
-        funds.lock(unrelated, n(3), Amount::from_tokens(1)).unwrap();
-        let now = scoped_stamp(&g, &funds);
-        // Capacity-only insert with funds in hand: evicts stale B, not
-        // footprint-fresh A.
-        let c = CacheKey::plan(n(2), n(1));
-        cache.get_or_compute_with(c, now, Volatility::CapacityOnly, Some(&funds), || {
+        let b = CacheKey::plan(n(3), n(4));
+        cache.get_or_compute_scoped(b, now, &funds, |fp| {
+            fp.record(unrelated);
             vec![path01()]
         });
+        funds.lock(unrelated, n(3), Amount::from_tokens(1)).unwrap();
+        let now = scoped_stamp(&g, &funds);
+        // Capacity-only insert: evicts stale B, not footprint-fresh A.
+        let c = CacheKey::plan(n(2), n(1));
+        cache.get_or_compute(c, now, &funds, || vec![path01()]);
         assert_eq!(cache.stats().evictions, 1);
         cache.get_or_compute_scoped(a, now, &funds, |_| {
-            panic!("footprint-fresh entry must survive an unscoped insert's eviction")
+            panic!("footprint-fresh entry must survive a capacity-only insert's eviction")
         });
         assert_eq!(cache.stats().hits, 1);
-        cache.get_or_compute(b, now, Volatility::Live, Vec::new);
+        cache.get_or_compute_scoped(b, now, &funds, |_| Vec::new());
         assert_eq!(cache.stats().misses, 4, "B was evicted, not A");
     }
 
@@ -916,7 +800,6 @@ mod tests {
             let now = EpochStamp {
                 topology: g.topology_epoch(),
                 funds: funds.funds_epoch(),
-                prices: 0,
             };
             cache.get_or_compute_scoped(key, now, &funds, |fp| {
                 g.shortest_path(NodeId::from_index(src), NodeId::from_index(dst), |e| {
@@ -955,17 +838,14 @@ mod tests {
         // it misses.
         span(&mut cache, plan_key, 0, chain);
         assert_eq!(cache.stats().misses, 4);
-        // Unscoped entries still weigh one unit each: the bound
+        // Capacity-only entries still weigh one unit each: the bound
         // degenerates to entry-count capacity for them.
         let mut unit = PathCache::with_capacity(2);
-        let now = stamp(1, 1, 1);
+        let now = stamp(1, 1);
         for i in 0..3u32 {
-            unit.get_or_compute(
-                CacheKey::plan(n(i), n(10 + i)),
-                now,
-                Volatility::CapacityOnly,
-                || vec![path01()],
-            );
+            unit.get_or_compute(CacheKey::plan(n(i), n(10 + i)), now, &funds, || {
+                vec![path01()]
+            });
         }
         assert_eq!((unit.len(), unit.weight()), (2, 2));
         assert_eq!(unit.stats().evictions, 1);
@@ -988,19 +868,18 @@ mod tests {
         let now = |g: &Graph, funds: &NetworkFunds| EpochStamp {
             topology: g.topology_epoch(),
             funds: funds.funds_epoch(),
-            prices: 0,
         };
         // A narrow scoped entry (footprint: one channel, weight 1) …
         cache.get_or_compute_scoped(key, now(&g, &funds), &funds, |fp| {
             fp.record(first);
             vec![path01()]
         });
-        // … plus two unscoped fresh entries fill the cache to weight 3.
+        // … plus two capacity-only fresh entries fill the cache to weight 3.
         for i in 1..3u32 {
             cache.get_or_compute(
                 CacheKey::plan(n(i), n(10 + i)),
                 now(&g, &funds),
-                Volatility::CapacityOnly,
+                &funds,
                 || vec![path01()],
             );
         }
@@ -1019,7 +898,7 @@ mod tests {
             .unwrap_or_default()
         });
         assert_eq!(cache.stats().invalidations(), 1);
-        assert_eq!(cache.stats().evictions, 1, "one unscoped entry shed");
+        assert_eq!(cache.stats().evictions, 1, "one capacity-only entry shed");
         assert!(cache.weight() <= cache.capacity());
         // The replaced key itself survived.
         cache.get_or_compute_scoped(key, now(&g, &funds), &funds, |_| {

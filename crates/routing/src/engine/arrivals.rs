@@ -12,7 +12,7 @@ use std::sync::Arc;
 use pcn_graph::{max_flow_in, Path};
 use pcn_types::{Amount, NodeId, SimDuration, SimTime, TxId};
 
-use crate::cache::{CacheKey, EpochStamp, PathCache, PlanClass, Volatility};
+use crate::cache::{CacheKey, EpochStamp, PathCache, PlanClass};
 use crate::paths::{select_paths_footprint, select_paths_in, BalanceView, PathSelect};
 use crate::rate::RateController;
 use crate::scheme::RouteVia;
@@ -21,8 +21,10 @@ use crate::window::WindowController;
 
 use super::{Engine, Ev, FlowState, TxState};
 
-/// Routes one plan query through the epoch-versioned cache (or straight
-/// to `compute` when caching is off). A hit shares the cached
+/// Routes one capacity-only plan query — `compute` reads the topology
+/// and channel totals, never live balances — through the
+/// epoch-versioned cache (or straight to `compute` when caching is off).
+/// A hit shares the cached
 /// `Arc<[Path]>` — exactly what `compute` would have returned, per the
 /// epoch contract — without deep-cloning the plan. `funds` rides along
 /// so a capacity eviction can footprint-check candidate victims.
@@ -32,14 +34,13 @@ fn cached_or<F>(
     key: CacheKey,
     now: EpochStamp,
     funds: &crate::channel::NetworkFunds,
-    volatility: Volatility,
     compute: F,
 ) -> Arc<[Path]>
 where
     F: FnOnce() -> Vec<Path>,
 {
     if use_cache {
-        cache.get_or_compute_with(key, now, volatility, Some(funds), compute)
+        cache.get_or_compute(key, now, funds, compute)
     } else {
         compute().into()
     }
@@ -91,13 +92,11 @@ fn cached_select(
                 graph, workspace, funds, src, dst, k, strategy, view, min_w, accel, fp,
             )
         }),
-        BalanceView::CapacityOnly => {
-            cache.get_or_compute_with(key, now, Volatility::CapacityOnly, Some(funds), || {
-                select_paths_in(
-                    graph, workspace, funds, src, dst, k, strategy, view, min_w, accel,
-                )
-            })
-        }
+        BalanceView::CapacityOnly => cache.get_or_compute(key, now, funds, || {
+            select_paths_in(
+                graph, workspace, funds, src, dst, k, strategy, view, min_w, accel,
+            )
+        }),
     }
 }
 
@@ -262,7 +261,6 @@ impl Engine {
             scheme,
             graph,
             funds,
-            prices,
             path_cache,
             workspace,
             rng,
@@ -271,7 +269,6 @@ impl Engine {
         let now = EpochStamp {
             topology: graph.topology_epoch(),
             funds: funds.funds_epoch(),
-            prices: prices.price_epoch(),
         };
         match &scheme.route_via {
             RouteVia::Direct => cached_select(
@@ -313,7 +310,6 @@ impl Engine {
                     CacheKey::hub_leg(p.source, hub_s),
                     now,
                     funds,
-                    Volatility::CapacityOnly,
                     || {
                         graph
                             .edge_between(p.source, hub_s)
@@ -327,7 +323,6 @@ impl Engine {
                     CacheKey::hub_leg(hub_r, p.dest),
                     now,
                     funds,
-                    Volatility::CapacityOnly,
                     || {
                         graph
                             .edge_between(hub_r, p.dest)
@@ -378,9 +373,6 @@ impl Engine {
                 CacheKey::plan(p.source, p.dest),
                 now,
                 funds,
-                // The landmark legs price edges off channel *totals* only,
-                // independent of the declared balance view.
-                Volatility::CapacityOnly,
                 || {
                     // Both toggle arms build each route as
                     // `source → landmark` joined with the **reverse** of
@@ -451,8 +443,6 @@ impl Engine {
                     CacheKey::plan(p.source, p.dest),
                     now,
                     funds,
-                    // Pure topology lookups: only a rewiring can stale this.
-                    Volatility::CapacityOnly,
                     || {
                         let Some(first) = graph.edge_between(p.source, hub) else {
                             return Vec::new();
@@ -476,8 +466,6 @@ impl Engine {
                         },
                         now,
                         funds,
-                        // Max flow over channel totals: capacity-only.
-                        Volatility::CapacityOnly,
                         || {
                             let res = max_flow_in(graph, workspace, p.source, p.dest, |e| {
                                 Some(funds.total(e.id).millitokens())
@@ -504,7 +492,6 @@ impl Engine {
                         },
                         now,
                         funds,
-                        Volatility::CapacityOnly,
                         || {
                             select_paths_in(
                                 graph,

@@ -68,8 +68,6 @@ pub struct PriceTable {
     /// Channel endpoint table (a, b) shared with the owner (the engine
     /// passes its own table by `Arc`, so construction clones nothing).
     endpoints: Arc<[(NodeId, NodeId)]>,
-    /// Monotone tick counter; see [`PriceTable::price_epoch`].
-    epoch: u64,
 }
 
 impl PriceTable {
@@ -81,15 +79,7 @@ impl PriceTable {
             prices: vec![ChannelPrices::default(); endpoints.len()],
             arrived: vec![(0.0, 0.0); endpoints.len()],
             endpoints,
-            epoch: 0,
         }
-    }
-
-    /// The price epoch: bumped once per [`PriceTable::tick`] (every τ).
-    /// Consumed by the routing layer's `PathCache` to invalidate entries
-    /// whose computation could observe prices.
-    pub fn price_epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Adopts a grown endpoint table (a dynamic world opened channels
@@ -161,7 +151,6 @@ impl PriceTable {
             self.prices[i].update_mu(eta, m_a, m_b);
             self.arrived[i] = (0.0, 0.0);
         }
-        self.epoch += 1;
     }
 
     /// Routing price ξ of channel `ch` in direction `from → other`
@@ -268,18 +257,6 @@ mod tests {
         table.tick(0.1, 0.5, |_| (0.0, 0.0), |_| 10.0);
         let xi0_after = table.xi(c0, n(0));
         assert!(xi0_after <= xi0);
-    }
-
-    #[test]
-    fn price_epoch_advances_per_tick() {
-        let mut table = PriceTable::new(vec![(n(0), n(1))]);
-        assert_eq!(table.price_epoch(), 0);
-        table.tick(0.1, 0.5, |_| (0.0, 0.0), |_| 10.0);
-        table.tick(0.1, 0.5, |_| (0.0, 0.0), |_| 10.0);
-        assert_eq!(table.price_epoch(), 2);
-        // Recording arrivals alone does not tick the epoch.
-        table.record_arrival(ChannelId::new(0), n(0), 1.0);
-        assert_eq!(table.price_epoch(), 2);
     }
 
     #[test]

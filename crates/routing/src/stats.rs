@@ -370,7 +370,7 @@ impl core::fmt::Display for RunStats {
         write!(
             f,
             "tsr={:.3} throughput={:.3} latency={:.3}s gen={} done={} fail={} overhead={} \
-             drained={} cache={}h/{}m/{}i[{}t/{}f/{}p/{}fp]/{}e world={}ev/{}exp/{}gc \
+             drained={} cache={}h/{}m/{}i[{}t/{}fp]/{}e world={}ev/{}exp/{}gc \
              adv={}f/{}g/{}dl stall={}us honest={}/{} viol={} \
              planner={}gd/{}lr/{}ns pps={:.0}",
             self.tsr(),
@@ -385,8 +385,6 @@ impl core::fmt::Display for RunStats {
             self.path_cache.misses,
             self.path_cache.invalidations(),
             self.path_cache.inv_topology,
-            self.path_cache.inv_funds,
-            self.path_cache.inv_price,
             self.path_cache.inv_footprint,
             self.path_cache.evictions,
             self.world_events_applied,
@@ -450,7 +448,6 @@ mod tests {
                 inv_topology: 1,
                 inv_footprint: 2,
                 evictions: 4,
-                ..Default::default()
             },
             world_events_applied: 6,
             tus_expired_by_close: 2,
@@ -460,7 +457,7 @@ mod tests {
         assert!(shown.contains("tsr=1.000"));
         assert!(shown.contains("gen=5"));
         assert!(
-            shown.contains("cache=3h/2m/3i[1t/0f/0p/2fp]/4e"),
+            shown.contains("cache=3h/2m/3i[1t/2fp]/4e"),
             "per-cause invalidation breakdown must be visible: {shown}"
         );
         assert!(shown.contains("world=6ev/2exp"));
@@ -524,8 +521,6 @@ mod tests {
                 hits: 9,
                 misses: 8,
                 inv_topology: 1,
-                inv_funds: 2,
-                inv_price: 3,
                 inv_footprint: 4,
                 evictions: 5,
                 // No `..Default::default()`: a new counter must be
