@@ -520,15 +520,9 @@ mod tests {
         EpochStamp { topology, funds }
     }
 
-    /// Capacity-only freshness never reads the funds; these only back
-    /// eviction checks of scoped entries.
-    fn no_funds() -> NetworkFunds {
-        NetworkFunds::default()
-    }
-
     #[test]
     fn first_lookup_is_a_miss_then_hits() {
-        let (mut cache, funds) = (PathCache::new(), no_funds());
+        let (mut cache, funds) = (PathCache::new(), NetworkFunds::default());
         let key = CacheKey::plan(n(0), n(1));
         let now = stamp(1, 1);
         let a = cache.get_or_compute(key, now, &funds, || vec![path01()]);
@@ -551,7 +545,7 @@ mod tests {
 
     #[test]
     fn hits_share_the_stored_allocation() {
-        let (mut cache, funds) = (PathCache::new(), no_funds());
+        let (mut cache, funds) = (PathCache::new(), NetworkFunds::default());
         let key = CacheKey::plan(n(0), n(1));
         let now = stamp(1, 1);
         let a = cache.get_or_compute(key, now, &funds, || vec![path01()]);
@@ -561,7 +555,7 @@ mod tests {
 
     #[test]
     fn capacity_only_entries_survive_funds_movement() {
-        let (mut cache, funds) = (PathCache::new(), no_funds());
+        let (mut cache, funds) = (PathCache::new(), NetworkFunds::default());
         let key = CacheKey::plan(n(0), n(1));
         cache.get_or_compute(key, stamp(3, 10), &funds, || vec![path01()]);
         // Funds moved; topology did not.
@@ -577,7 +571,7 @@ mod tests {
 
     #[test]
     fn classes_partition_the_key_space() {
-        let (mut cache, funds) = (PathCache::new(), no_funds());
+        let (mut cache, funds) = (PathCache::new(), NetworkFunds::default());
         let now = stamp(1, 1);
         let mice = CacheKey {
             source: n(0),

@@ -24,10 +24,10 @@ use super::{Engine, Ev, FlowState, TxState};
 /// Routes one capacity-only plan query — `compute` reads the topology
 /// and channel totals, never live balances — through the
 /// epoch-versioned cache (or straight to `compute` when caching is off).
-/// A hit shares the cached
-/// `Arc<[Path]>` — exactly what `compute` would have returned, per the
-/// epoch contract — without deep-cloning the plan. `funds` rides along
-/// so a capacity eviction can footprint-check candidate victims.
+/// A hit shares the cached `Arc<[Path]>` — exactly what `compute` would
+/// have returned, per the epoch contract — without deep-cloning the
+/// plan. `funds` rides along so a capacity eviction can footprint-check
+/// candidate victims.
 fn cached_or<F>(
     cache: &mut PathCache,
     use_cache: bool,

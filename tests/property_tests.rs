@@ -20,8 +20,8 @@ proptest! {
     /// (delay 0 and a few repeated constants dominate the generator,
     /// exactly the engine's profile), sub-bucket jitter, and far-future
     /// outliers that overflow the calendar ring and must migrate back.
-    /// This is the determinism contract the engine's queue swap relies
-    /// on: one total order, `(time, lane, scheduling sequence)` — the
+    /// The heap is the test oracle for the engine's calendar queue: one
+    /// total order, `(time, lane, scheduling sequence)` — the
     /// world lane (dynamic-world timeline events) popping first at equal
     /// timestamps on both backends.
     #[test]
