@@ -662,18 +662,102 @@ fn semantic_runs_match_golden() {
             text.push('\n');
         }
     }
-    let golden = include_str!("golden/semantic_runs.txt");
+    assert_golden(
+        "semantic_runs.txt",
+        &text,
+        include_str!("golden/semantic_runs.txt"),
+    );
+}
+
+/// Compares regenerated golden text with the committed file `name`
+/// under `tests/golden/`. On a mismatch it prints the regenerated text
+/// (run with `-- --nocapture` to see it) and names the first differing
+/// line.
+fn assert_golden(name: &str, text: &str, golden: &str) {
     if text != golden {
         let first_diff = text
             .lines()
             .zip(golden.lines())
             .position(|(a, b)| a != b)
             .unwrap_or_else(|| text.lines().count().min(golden.lines().count()));
-        println!("--- regenerated tests/golden/semantic_runs.txt ---\n{text}--- end ---");
+        println!("--- regenerated tests/golden/{name} ---\n{text}--- end ---");
         panic!(
-            "semantic output drifted from tests/golden/semantic_runs.txt at line {}; \
+            "output drifted from tests/golden/{name} at line {}; \
              the regenerated text is printed above",
             first_diff + 1
         );
     }
+}
+
+/// Channel ids of each path in order, paths in selection order.
+fn paths_line(paths: &[pcn_graph::Path]) -> String {
+    paths
+        .iter()
+        .map(|p| {
+            p.channels()
+                .iter()
+                .map(|c| c.raw().to_string())
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect::<Vec<_>>()
+        .join(" | ")
+}
+
+#[test]
+fn planner_paths_match_golden() {
+    // `semantic_runs.txt` pins 24-node worlds, where widest-path and
+    // Yen tie-breaks rarely matter. This pins the planner itself on a
+    // 300-node world with heavy-tailed funds: 32 fixed pairs × every
+    // `PathSelect` × both balance views × goal-directed off/on, one
+    // line per query. Live-view lines also carry the sorted dependency
+    // footprint `select_paths_footprint` records, as its size and an
+    // FNV-1a hash (a footprint runs to hundreds of channels). Same
+    // regenerate-and-diff contract as `semantic_runs_match_golden`.
+    use pcn_graph::{Footprint, SearchWorkspace};
+    use pcn_routing::paths::{select_paths_footprint, select_paths_in, BalanceView, PathSelect};
+    use pcn_types::NodeId;
+    use std::fmt::Write;
+
+    let params = ScenarioBuilder::small().nodes(300).seed(3).build().params;
+    let scenario = pcn_workload::Scenario::build(params);
+    let (g, funds) = (&scenario.flat.graph, &scenario.flat.funds);
+    let min_w = pcn_routing::EngineConfig::default().min_tu;
+    let nodes = g.node_count();
+    let mut ws = SearchWorkspace::new();
+    ws.prepare_landmarks(g);
+    let mut fp = Footprint::new();
+    let mut text = String::new();
+    for i in 0..32 {
+        let src = NodeId::from_index((i * 37 + 5) % nodes);
+        let dst = NodeId::from_index((i * 113 + 151) % nodes);
+        for strategy in PathSelect::ALL {
+            for view in [BalanceView::Live, BalanceView::CapacityOnly] {
+                for accel in [false, true] {
+                    let paths = select_paths_in(
+                        g, &mut ws, funds, src, dst, 4, strategy, view, min_w, accel,
+                    );
+                    let label = format!("{src}->{dst} {} {view:?} accel={accel}", strategy.name());
+                    write!(text, "{label}: {}", paths_line(&paths)).unwrap();
+                    if view == BalanceView::Live {
+                        let scoped = select_paths_footprint(
+                            g, &mut ws, funds, src, dst, 4, strategy, view, min_w, accel, &mut fp,
+                        );
+                        assert_eq!(scoped, paths, "footprint run diverged: {label}");
+                        let mut channels: Vec<u32> =
+                            fp.channels().iter().map(|c| c.raw()).collect();
+                        channels.sort_unstable();
+                        let hash = fnv1a(&format!("{channels:?}"));
+                        write!(text, " fp=[n={} hash={hash:016x}]", channels.len()).unwrap();
+                    }
+                    text.push('\n');
+                }
+            }
+        }
+    }
+    assert_golden(
+        "planner_paths.txt",
+        &text,
+        include_str!("golden/planner_paths.txt"),
+    );
 }
