@@ -5,10 +5,12 @@
 //! edge-disjoint shortest paths is the standard construction used by PCN
 //! routers (channels are removed in *both* directions, since a channel's
 //! funds are shared infrastructure).
+//!
+//! The removed channels are marks in the workspace's dense ban mask (see
+//! [`SearchWorkspace`]), which every round's search checks on each edge
+//! it scans.
 
-use std::collections::HashSet;
-
-use pcn_types::{ChannelId, NodeId};
+use pcn_types::NodeId;
 
 use crate::{widest_path_in, EdgeRef, Path, SearchWorkspace, Topology};
 
@@ -87,20 +89,24 @@ where
         &mut dyn FnMut(EdgeRef) -> Option<f64>,
     ) -> Option<(f64, Path)>,
 {
-    let mut used: HashSet<ChannelId> = HashSet::new();
+    let mut used = std::mem::take(&mut ws.bans);
+    used.clear();
     let mut paths = Vec::new();
     for _ in 0..k {
         let found = search(g, ws, from, to, &mut |e| {
-            if used.contains(&e.id) {
+            if used.channel_banned(e.id) {
                 None
             } else {
                 cost(e)
             }
         });
         let Some((_, path)) = found else { break };
-        used.extend(path.channels().iter().copied());
+        for &c in path.channels() {
+            used.ban_channel(c);
+        }
         paths.push(path);
     }
+    ws.bans = used;
     paths
 }
 
@@ -137,20 +143,24 @@ where
     G: Topology,
     F: FnMut(EdgeRef) -> Option<f64>,
 {
-    let mut used: HashSet<ChannelId> = HashSet::new();
+    let mut used = std::mem::take(&mut ws.bans);
+    used.clear();
     let mut paths = Vec::new();
     for _ in 0..k {
         let found = widest_path_in(g, ws, from, to, |e| {
-            if used.contains(&e.id) {
+            if used.channel_banned(e.id) {
                 None
             } else {
                 width(e)
             }
         });
         let Some((_, path)) = found else { break };
-        used.extend(path.channels().iter().copied());
+        for &c in path.channels() {
+            used.ban_channel(c);
+        }
         paths.push(path);
     }
+    ws.bans = used;
     paths
 }
 
@@ -260,7 +270,7 @@ mod tests {
     }
 
     fn assert_disjoint(paths: &[Path]) {
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         for p in paths {
             for c in p.channels() {
                 assert!(seen.insert(*c), "channel {c} reused across paths");

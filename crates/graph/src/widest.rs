@@ -10,16 +10,39 @@ use std::collections::BinaryHeap;
 
 use pcn_types::{ChannelId, NodeId};
 
-use crate::cost::Cost;
 use crate::{EdgeRef, Path, SearchWorkspace, Topology};
 
 /// Reusable widest-path state: `(bottleneck, hops)` labels, parent
-/// forest and the max-heap.
+/// forest and the max-heap of [`pack`]ed keys.
 #[derive(Debug, Default)]
 pub(crate) struct WidestScratch {
     best: Vec<(f64, u32)>,
     parent: Vec<Option<(NodeId, ChannelId)>>,
-    heap: BinaryHeap<(Cost, std::cmp::Reverse<u32>, NodeId)>,
+    heap: BinaryHeap<u128>,
+}
+
+/// Packs a heap entry into one integer key: width bits, then
+/// `u32::MAX − hops`, then the node id, from high bits to low. For
+/// widths that are positive and not NaN (`+∞` and subnormals included)
+/// the IEEE bit pattern orders like the value, so the key orders exactly
+/// like the tuple `(width, Reverse(hops), node)`: wider first, then fewer
+/// hops, then the larger node id.
+#[inline]
+fn pack(width: f64, hops: u32, node: NodeId) -> u128 {
+    debug_assert!(width > 0.0, "heap widths are positive and not NaN");
+    (u128::from(width.to_bits()) << 64)
+        | (u128::from(u32::MAX - hops) << 32)
+        | u128::from(node.raw())
+}
+
+/// Inverse of [`pack`].
+#[inline]
+fn unpack(key: u128) -> (f64, u32, NodeId) {
+    (
+        f64::from_bits((key >> 64) as u64),
+        u32::MAX - (key >> 32) as u32,
+        NodeId::new(key as u32),
+    )
 }
 
 /// Maximum-bottleneck path from `from` to `to`.
@@ -100,8 +123,9 @@ where
     let parent = &mut s.parent;
     let heap = &mut s.heap;
     best[from.index()] = (f64::INFINITY, 0);
-    heap.push((Cost(f64::INFINITY), std::cmp::Reverse(0), from));
-    while let Some((Cost(w), std::cmp::Reverse(h), u)) = heap.pop() {
+    heap.push(pack(f64::INFINITY, 0, from));
+    while let Some(key) = heap.pop() {
+        let (w, h, u) = unpack(key);
         let (bw, bh) = best[u.index()];
         if w < bw || (w == bw && h > bh) {
             continue; // stale
@@ -123,7 +147,7 @@ where
             if nw > cw || (nw == cw && nh < ch) {
                 best[e.to.index()] = (nw, nh);
                 parent[e.to.index()] = Some((u, e.id));
-                heap.push((Cost(nw), std::cmp::Reverse(nh), e.to));
+                heap.push(pack(nw, nh, e.to));
             }
         }
     }
@@ -224,6 +248,58 @@ mod tests {
             let fresh = widest_path(&g, n(0), n(3), |e| Some(w[e.id.index()]));
             let reused = widest_path_in(&g, &mut ws, n(0), n(3), |e| Some(w[e.id.index()]));
             assert_eq!(fresh, reused);
+        }
+    }
+
+    /// The packed heap key must order exactly like the tuple the heap
+    /// used to hold, `(Cost(width), Reverse(hops), node)`, and decode to
+    /// what was packed. Widths cover every class the search pushes:
+    /// positive normals, subnormals and `+∞`, plus a small set that
+    /// forces ties so the hop and node fields decide.
+    #[test]
+    fn packed_key_orders_like_the_tuple() {
+        use crate::cost::Cost;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::cmp::Reverse;
+        let mut rng = StdRng::seed_from_u64(23);
+        let entry = |rng: &mut StdRng| {
+            let width = match rng.random_range(0..4u32) {
+                0 => loop {
+                    let w = f64::from_bits(rng.random::<u64>() >> 1);
+                    if w.is_finite() && w > 0.0 {
+                        break w;
+                    }
+                },
+                1 => f64::from_bits(rng.random_range(1..(1u64 << 52))),
+                2 => f64::INFINITY,
+                _ => [f64::MIN_POSITIVE, 0.5, 1.0, 7.0][rng.random_range(0..4usize)],
+            };
+            let hops = if rng.random_bool(0.5) {
+                rng.random_range(0..4u32)
+            } else {
+                rng.random::<u32>()
+            };
+            let node = if rng.random_bool(0.5) {
+                rng.random_range(0..4u32)
+            } else {
+                rng.random::<u32>()
+            };
+            (width, hops, NodeId::new(node))
+        };
+        for _ in 0..20_000 {
+            let a = entry(&mut rng);
+            let b = entry(&mut rng);
+            for (w, h, v) in [a, b] {
+                let (w2, h2, v2) = unpack(pack(w, h, v));
+                assert_eq!((w.to_bits(), h, v), (w2.to_bits(), h2, v2));
+            }
+            let tuple = |(w, h, v): (f64, u32, NodeId)| (Cost(w), Reverse(h), v);
+            assert_eq!(
+                pack(a.0, a.1, a.2).cmp(&pack(b.0, b.1, b.2)),
+                tuple(a).cmp(&tuple(b)),
+                "{a:?} vs {b:?}"
+            );
         }
     }
 

@@ -12,6 +12,16 @@
 //! graph's size (only the returned [`crate::Path`]s still allocate —
 //! they are the query's output).
 //!
+//! The workspace also owns the **ban mask** the repeated-search loops
+//! (Yen's KSP, greedy EDS and EDW) consult on every scanned edge: the
+//! channels already used by earlier paths, the spur's banned root edges
+//! and root nodes. It is a pair of dense per-node and per-channel stamp
+//! arrays, so a lookup is one indexed compare instead of a hash, and
+//! clearing it is O(1): a clear bumps a generation stamp and every older
+//! mark stops counting. Only when the `u32` stamp wraps does a clear
+//! zero the arrays, so no clear ever revives an old ban. The arrays grow
+//! to the largest id banned and never shrink.
+//!
 //! Reuse is **semantics-preserving**: each search fully re-initializes
 //! the state it reads, so a warm workspace returns bit-identical results
 //! to a cold one. The workspace is deliberately not `Clone`/`Send`-shared:
@@ -33,6 +43,8 @@
 //! }
 //! ```
 
+use pcn_types::{ChannelId, NodeId};
+
 use crate::accel::{AccelScratch, LandmarkTable};
 use crate::dijkstra::DijkstraScratch;
 use crate::maxflow::MaxFlowScratch;
@@ -50,6 +62,72 @@ pub struct SearchWorkspace {
     pub(crate) maxflow: MaxFlowScratch,
     pub(crate) accel: AccelScratch,
     pub(crate) landmarks: LandmarkTable,
+    /// Edge bans of the repeated-search loops. A loop takes it out
+    /// (`std::mem::take`) around its inner searches, which borrow the
+    /// rest of the workspace, and puts it back when done.
+    pub(crate) bans: BanMask,
+}
+
+/// Per-node and per-channel ban marks with an O(1) clear.
+///
+/// A node or channel is banned iff its mark equals the current stamp.
+/// Marks are written only by `ban_*`, so after a [`BanMask::clear`]
+/// every older mark is stale. The stamp starts at 1 and never returns to
+/// 0, the value of an unmarked slot.
+#[derive(Debug)]
+pub(crate) struct BanMask {
+    nodes: Vec<u32>,
+    channels: Vec<u32>,
+    stamp: u32,
+}
+
+impl Default for BanMask {
+    fn default() -> BanMask {
+        BanMask {
+            nodes: Vec::new(),
+            channels: Vec::new(),
+            stamp: 1,
+        }
+    }
+}
+
+impl BanMask {
+    /// Lifts every ban. O(1), except when the stamp wraps: then the
+    /// marks are zeroed, so a mark left from `2^32 − 1` clears ago
+    /// cannot match the new stamp.
+    pub(crate) fn clear(&mut self) {
+        if self.stamp == u32::MAX {
+            self.nodes.fill(0);
+            self.channels.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+    }
+
+    pub(crate) fn ban_node(&mut self, v: NodeId) {
+        mark(&mut self.nodes, v.index(), self.stamp);
+    }
+
+    pub(crate) fn ban_channel(&mut self, c: ChannelId) {
+        mark(&mut self.channels, c.index(), self.stamp);
+    }
+
+    #[inline]
+    pub(crate) fn node_banned(&self, v: NodeId) -> bool {
+        self.nodes.get(v.index()) == Some(&self.stamp)
+    }
+
+    #[inline]
+    pub(crate) fn channel_banned(&self, c: ChannelId) -> bool {
+        self.channels.get(c.index()) == Some(&self.stamp)
+    }
+}
+
+fn mark(marks: &mut Vec<u32>, i: usize, stamp: u32) {
+    if i >= marks.len() {
+        marks.resize(i + 1, 0);
+    }
+    marks[i] = stamp;
 }
 
 impl SearchWorkspace {
@@ -83,7 +161,108 @@ impl SearchWorkspace {
 mod tests {
     use super::*;
     use crate::{k_shortest_paths_in, max_flow_in, widest_path_in, Graph};
-    use pcn_types::NodeId;
+
+    #[test]
+    fn ban_mask_clear_lifts_every_ban() {
+        let mut m = BanMask::default();
+        assert!(!m.node_banned(NodeId::new(0)) && !m.channel_banned(ChannelId::new(0)));
+        m.ban_node(NodeId::new(3));
+        m.ban_channel(ChannelId::new(5));
+        assert!(m.node_banned(NodeId::new(3)) && m.channel_banned(ChannelId::new(5)));
+        assert!(!m.node_banned(NodeId::new(2)) && !m.channel_banned(ChannelId::new(4)));
+        m.clear();
+        assert!(!m.node_banned(NodeId::new(3)) && !m.channel_banned(ChannelId::new(5)));
+    }
+
+    /// A clear at the last stamp must not revive bans set under the
+    /// stamp it wraps to, nor ban the never-marked (zero) slots.
+    #[test]
+    fn ban_mask_stamp_wraparound_revives_nothing() {
+        let mut m = BanMask::default();
+        // Marks under stamp 1 and stamp 2: the values a wrapped stamp
+        // would meet again first.
+        m.ban_node(NodeId::new(1));
+        m.ban_channel(ChannelId::new(1));
+        m.clear();
+        m.ban_node(NodeId::new(2));
+        m.ban_channel(ChannelId::new(2));
+        m.stamp = u32::MAX;
+        m.ban_node(NodeId::new(4));
+        m.ban_channel(ChannelId::new(4));
+        assert!(m.node_banned(NodeId::new(4)) && m.channel_banned(ChannelId::new(4)));
+        for _ in 0..3 {
+            m.clear();
+            for i in 0..6 {
+                assert!(
+                    !m.node_banned(NodeId::new(i)) && !m.channel_banned(ChannelId::new(i)),
+                    "id {i} banned after a clear at stamp {}",
+                    m.stamp
+                );
+            }
+        }
+        m.ban_channel(ChannelId::new(2));
+        assert!(m.channel_banned(ChannelId::new(2)));
+        assert!(!m.channel_banned(ChannelId::new(1)));
+    }
+
+    /// A warm workspace whose ban mask was sized (and stamped) by
+    /// searches on a larger graph must return, on a smaller graph, the
+    /// same EDW, EDS and KSP paths — plain and goal-directed — as a cold
+    /// workspace, and the same again back on the larger graph.
+    #[test]
+    fn warm_ban_mask_matches_cold_across_graph_sizes() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let big = crate::watts_strogatz(80, 6, 0.3, &mut StdRng::seed_from_u64(3));
+        let small = crate::watts_strogatz(12, 4, 0.3, &mut StdRng::seed_from_u64(4));
+        let mut warm = SearchWorkspace::new();
+        for (g, label) in [
+            (&big, "larger"),
+            (&small, "smaller"),
+            (&big, "larger again"),
+        ] {
+            warm.prepare_landmarks(g);
+            let nn = g.node_count();
+            let width = |e: crate::EdgeRef| Some(1.0 + (e.id.index() % 7) as f64);
+            let cost = |e: crate::EdgeRef| width(e).map(|_| 1.0);
+            for i in 0..nn {
+                let (from, to) = (NodeId::from_index(i), NodeId::from_index((i * 5 + 3) % nn));
+                let mut cold = SearchWorkspace::new();
+                cold.prepare_landmarks(g);
+                let run = |ws: &mut SearchWorkspace| {
+                    (
+                        crate::edge_disjoint_widest_paths_in(g, ws, from, to, 4, width),
+                        crate::edge_disjoint_shortest_paths_in(g, ws, from, to, 4, cost),
+                        k_shortest_paths_in(g, ws, from, to, 4, cost),
+                        crate::edge_disjoint_shortest_paths_accel_in(
+                            g,
+                            ws,
+                            from,
+                            to,
+                            4,
+                            cost,
+                            crate::AccelBounds::Full,
+                        ),
+                        crate::k_shortest_paths_accel_in(
+                            g,
+                            ws,
+                            from,
+                            to,
+                            4,
+                            cost,
+                            |_| false,
+                            crate::AccelBounds::Full,
+                        ),
+                    )
+                };
+                assert_eq!(
+                    run(&mut warm),
+                    run(&mut cold),
+                    "{label} graph, {from}->{to}"
+                );
+            }
+        }
+    }
 
     /// A warm workspace must stay bit-identical to a cold one when the
     /// graph it searches **changes size between queries** — nodes and

@@ -1,8 +1,12 @@
 //! Yen's algorithm for loopless k-shortest paths (KSP in Table II).
+//!
+//! Each spur search's banned root edges and root nodes are marks in the
+//! workspace's dense ban mask (see [`SearchWorkspace`]), checked on every
+//! edge the search scans and cleared in O(1) between spurs.
 
 use std::collections::HashSet;
 
-use pcn_types::{ChannelId, NodeId};
+use pcn_types::NodeId;
 
 use crate::{EdgeRef, Path, SearchWorkspace, Topology};
 
@@ -130,28 +134,28 @@ where
         return accepted.into_iter().map(|(_, p)| p).collect();
     }
 
+    let mut bans = std::mem::take(&mut ws.bans);
     while accepted.len() < k {
         let (_, last) = accepted.last().expect("accepted is non-empty").clone();
         // Deviate at every node of the last accepted path except the target.
         for i in 0..last.hops() {
             let spur_node = last.nodes()[i];
             let root = last.prefix(i);
+            bans.clear();
             // Channels to ban: the edge each accepted/candidate path with the
             // same root takes out of the spur node.
-            let mut banned_channels: HashSet<ChannelId> = HashSet::new();
             for (_, p) in accepted.iter().chain(candidates.iter()) {
                 if p.hops() > i && p.nodes()[..=i] == root.nodes()[..] {
-                    banned_channels.insert(p.channels()[i]);
+                    bans.ban_channel(p.channels()[i]);
                 }
             }
             // Nodes on the root (except the spur node) are banned to keep
             // paths loopless.
-            let banned_nodes: HashSet<NodeId> = root.nodes()[..i].iter().copied().collect();
+            for &v in &root.nodes()[..i] {
+                bans.ban_node(v);
+            }
             let spur = search(g, ws, spur_node, to, &mut |e| {
-                if banned_channels.contains(&e.id)
-                    || banned_nodes.contains(&e.to)
-                    || banned_nodes.contains(&e.from)
-                {
+                if bans.channel_banned(e.id) || bans.node_banned(e.to) || bans.node_banned(e.from) {
                     None
                 } else {
                     cost(e)
@@ -192,6 +196,7 @@ where
             break;
         }
     }
+    ws.bans = bans;
     accepted.into_iter().map(|(_, p)| p).collect()
 }
 
