@@ -162,47 +162,40 @@ mod tests {
     use super::*;
     use crate::{k_shortest_paths_in, max_flow_in, widest_path_in, Graph};
 
+    /// A clear lifts every ban, also the clear that wraps the stamp: a
+    /// clear at `u32::MAX` must not revive bans set under the stamps it
+    /// wraps to, nor ban the never-marked (zero) slots.
     #[test]
-    fn ban_mask_clear_lifts_every_ban() {
+    fn ban_mask_clear_lifts_every_ban_across_stamp_wraparound() {
+        let (n, c) = (NodeId::new, ChannelId::new);
         let mut m = BanMask::default();
-        assert!(!m.node_banned(NodeId::new(0)) && !m.channel_banned(ChannelId::new(0)));
-        m.ban_node(NodeId::new(3));
-        m.ban_channel(ChannelId::new(5));
-        assert!(m.node_banned(NodeId::new(3)) && m.channel_banned(ChannelId::new(5)));
-        assert!(!m.node_banned(NodeId::new(2)) && !m.channel_banned(ChannelId::new(4)));
+        assert!(!m.node_banned(n(0)) && !m.channel_banned(c(0)));
+        // Marks under stamps 1 and 2, the values a wrapped stamp meets
+        // again first.
+        m.ban_node(n(1));
+        m.ban_channel(c(1));
+        assert!(m.node_banned(n(1)) && m.channel_banned(c(1)));
+        assert!(!m.node_banned(n(0)) && !m.channel_banned(c(2)));
         m.clear();
-        assert!(!m.node_banned(NodeId::new(3)) && !m.channel_banned(ChannelId::new(5)));
-    }
-
-    /// A clear at the last stamp must not revive bans set under the
-    /// stamp it wraps to, nor ban the never-marked (zero) slots.
-    #[test]
-    fn ban_mask_stamp_wraparound_revives_nothing() {
-        let mut m = BanMask::default();
-        // Marks under stamp 1 and stamp 2: the values a wrapped stamp
-        // would meet again first.
-        m.ban_node(NodeId::new(1));
-        m.ban_channel(ChannelId::new(1));
-        m.clear();
-        m.ban_node(NodeId::new(2));
-        m.ban_channel(ChannelId::new(2));
+        assert!(!m.node_banned(n(1)) && !m.channel_banned(c(1)));
+        m.ban_node(n(2));
+        m.ban_channel(c(2));
         m.stamp = u32::MAX;
-        m.ban_node(NodeId::new(4));
-        m.ban_channel(ChannelId::new(4));
-        assert!(m.node_banned(NodeId::new(4)) && m.channel_banned(ChannelId::new(4)));
+        m.ban_node(n(4));
+        m.ban_channel(c(4));
+        assert!(m.node_banned(n(4)) && m.channel_banned(c(4)));
         for _ in 0..3 {
             m.clear();
             for i in 0..6 {
                 assert!(
-                    !m.node_banned(NodeId::new(i)) && !m.channel_banned(ChannelId::new(i)),
+                    !m.node_banned(n(i)) && !m.channel_banned(c(i)),
                     "id {i} banned after a clear at stamp {}",
                     m.stamp
                 );
             }
         }
-        m.ban_channel(ChannelId::new(2));
-        assert!(m.channel_banned(ChannelId::new(2)));
-        assert!(!m.channel_banned(ChannelId::new(1)));
+        m.ban_channel(c(2));
+        assert!(m.channel_banned(c(2)) && !m.channel_banned(c(1)));
     }
 
     /// A warm workspace whose ban mask was sized (and stamped) by
