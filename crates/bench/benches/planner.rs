@@ -13,7 +13,24 @@
 //!   source tree plus one destination tree with per-landmark readoffs
 //!   (`shortest_path_two_trees_in`).
 //!
-//! Both regimes alternate pair by pair inside one process and one
+//! Two more rows time the source-routing baselines' planner kernels on
+//! the e2ebench `fig8_large` world: `ScenarioParams::large()` (WS(3 000,
+//! 8) with the Lightning-shaped heavy-tailed channel funds), 30 s of
+//! payments at 60 tx/s, seed 1. One iteration plans every distinct
+//! (source, dest) pair of that trace, 1 142 of them, in trace order on
+//! one warm workspace, through the exact `select_paths_in` call a cache
+//! miss makes in the engine:
+//!
+//! * `edw_capacity_3000n_k4` — Spider's plan: EDW, k = 4, capacity
+//!   view, no goal-directed search (the layer row behind e2ebench's
+//!   `planner.query_us.spider`);
+//! * `ksp_accel_3000n_k4` — Flash's mice pool: Yen KSP, k = 4,
+//!   capacity view, goal-directed with the ALT landmark table.
+//!
+//! Divide a row's median by the `fig8_pairs` metadata for the time per
+//! plan.
+//!
+//! The 100k rows alternate pair by pair inside one process and one
 //! build, so frequency drift and cache warmth cancel. The acceptance
 //! bars assert in every run, `--quick` CI smoke included:
 //!
@@ -24,13 +41,16 @@
 //! The committed `BENCH_planner.json` baseline records the measured
 //! numbers (full, non-quick run).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pcn_graph::{shortest_path_two_trees_in, Path, SearchWorkspace};
 use pcn_routing::channel::NetworkFunds;
 use pcn_routing::paths::{select_paths_in, BalanceView, PathSelect};
-use pcn_types::{Amount, NodeId};
+use pcn_routing::{EngineConfig, SchemeConfig};
+use pcn_types::{Amount, NodeId, SimDuration};
+use pcn_workload::{PcnTopology, Scenario, ScenarioParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -55,6 +75,22 @@ fn world() -> (pcn_graph::Graph, NetworkFunds, Vec<(NodeId, NodeId)>) {
         })
         .collect();
     (g, funds, pairs)
+}
+
+/// The e2ebench `fig8_large` world at seed 1 and its trace's distinct
+/// (source, dest) pairs, in order.
+fn fig8_world() -> (PcnTopology, Vec<(NodeId, NodeId)>) {
+    let mut params = ScenarioParams::large();
+    params.duration = SimDuration::from_secs(30);
+    params.arrivals_per_sec = 60.0;
+    params.seed = 1;
+    let scenario = Scenario::build(params);
+    let pairs: BTreeSet<(NodeId, NodeId)> = scenario
+        .payments
+        .iter()
+        .map(|p| (p.source, p.dest))
+        .collect();
+    (scenario.flat, pairs.into_iter().collect())
 }
 
 /// One warm EDS plan selection; returns (nanos, settled nodes).
@@ -254,6 +290,54 @@ fn bench_planner(c: &mut Criterion) {
             })
         },
     );
+
+    // ---- Fig. 8 world: the baselines' planner kernels -----------------
+    // The rows replay the engine's cache-miss calls: Spider plans EDW
+    // with no goal-directed search, Flash's mice pools are goal-directed
+    // KSP, both on the capacity view with the engine's minimum TU.
+    let spider = SchemeConfig::spider();
+    assert_eq!(
+        (spider.path_select, spider.num_paths, spider.balance_view),
+        (PathSelect::Edw, K, BalanceView::CapacityOnly)
+    );
+    let flash = SchemeConfig::flash(Amount::ZERO);
+    assert_eq!(
+        (flash.num_paths, flash.balance_view),
+        (K, BalanceView::CapacityOnly)
+    );
+    let engine = EngineConfig::default();
+    assert!(engine.use_goal_directed);
+    let (flat, fig8_pairs) = fig8_world();
+    let mut fig8_ws = SearchWorkspace::new();
+    fig8_ws.prepare_landmarks(&flat.graph);
+    let mut plan_all = |select: PathSelect, accel: bool| {
+        for &(src, dst) in &fig8_pairs {
+            black_box(select_paths_in(
+                &flat.graph,
+                &mut fig8_ws,
+                &flat.funds,
+                src,
+                dst,
+                K,
+                select,
+                BalanceView::CapacityOnly,
+                engine.min_tu,
+                accel,
+            ));
+        }
+    };
+    group.metadata(
+        "fig8_world",
+        "ScenarioParams::large(), 30 s at 60 tx/s, seed 1",
+    );
+    group.metadata("fig8_pairs", fig8_pairs.len());
+    group.throughput(Throughput::Elements(fig8_pairs.len() as u64));
+    group.bench_function(format!("edw_capacity_3000n_k{K}"), |b| {
+        b.iter(|| plan_all(PathSelect::Edw, false))
+    });
+    group.bench_function(format!("ksp_accel_3000n_k{K}"), |b| {
+        b.iter(|| plan_all(PathSelect::Ksp, true))
+    });
     group.finish();
 }
 
