@@ -712,7 +712,7 @@ fn planner_paths_match_golden() {
     // `PathSelect` × both balance views × goal-directed off/on, one
     // line per query. Live-view lines also carry the sorted dependency
     // footprint `select_paths_footprint` records, as its size and an
-    // FNV-1a hash (a footprint runs to hundreds of channels). Same
+    // FNV-1a hash (a footprint covers most of the 1 200 channels). Same
     // regenerate-and-diff contract as `semantic_runs_match_golden`.
     use pcn_graph::{Footprint, SearchWorkspace};
     use pcn_routing::paths::{select_paths_footprint, select_paths_in, BalanceView, PathSelect};
