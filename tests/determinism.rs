@@ -714,6 +714,10 @@ fn planner_paths_match_golden() {
     // footprint `select_paths_footprint` records, as its size and an
     // FNV-1a hash (a footprint covers most of the 1 200 channels). Same
     // regenerate-and-diff contract as `semantic_runs_match_golden`.
+    // Goal-directed search must not change a single path, so each
+    // `accel=true` line's paths are also asserted equal to its
+    // `accel=false` twin: regenerating the golden for a footprint change
+    // cannot hide a path change.
     use pcn_graph::{Footprint, SearchWorkspace};
     use pcn_routing::paths::{select_paths_footprint, select_paths_in, BalanceView, PathSelect};
     use pcn_types::NodeId;
@@ -733,11 +737,17 @@ fn planner_paths_match_golden() {
         let dst = NodeId::from_index((i * 113 + 151) % nodes);
         for strategy in PathSelect::ALL {
             for view in [BalanceView::Live, BalanceView::CapacityOnly] {
+                let mut plain = Vec::new();
                 for accel in [false, true] {
                     let paths = select_paths_in(
                         g, &mut ws, funds, src, dst, 4, strategy, view, min_w, accel,
                     );
                     let label = format!("{src}->{dst} {} {view:?} accel={accel}", strategy.name());
+                    if accel {
+                        assert_eq!(paths, plain, "goal-directed paths diverged: {label}");
+                    } else {
+                        plain = paths.clone();
+                    }
                     write!(text, "{label}: {}", paths_line(&paths)).unwrap();
                     if view == BalanceView::Live {
                         let scoped = select_paths_footprint(
