@@ -1,136 +1,114 @@
-//! Goal-directed point-to-point search: bidirectional Dijkstra with a
-//! canonical tie-break, ALT landmark lower bounds, and batched
-//! shortest-path-tree pairs.
+//! Goal-directed unit-cost search: a level-synchronous bidirectional
+//! BFS for point-to-point queries, and batched pairs of BFS
+//! shortest-path trees.
 //!
-//! Every entry point here is **semantics-preserving**: the returned path
-//! is bit-identical (same nodes, same channels) to the one the plain
-//! unidirectional [`crate::dijkstra::shortest_path_in`] returns, so the
-//! routing layer can toggle acceleration per run without changing a
-//! single plan. That identity is not an accident of luck but of a
-//! canonical tie-break, documented here because every future edit must
-//! preserve it:
+//! # Unit-cost contract
 //!
-//! * The plain Dijkstra pops `(dist, node id)` min-first and only
-//!   overwrites a parent on a *strict* improvement. Its final parent for
-//!   any node `v` on the reconstructed chain is therefore the optimal
-//!   predecessor minimizing `(dist, id)`, carrying the first channel in
-//!   that predecessor's adjacency order that achieves the minimum.
-//! * The goal-directed search runs A* with a *consistent* heuristic and
-//!   pops `(dist + h, dist, id)` min-first. Optimal predecessors no
-//!   longer relax `v` in `(dist, id)` order, so the canonical parent is
-//!   enforced explicitly: on an equal-distance relaxation the parent is
-//!   replaced only if the new predecessor has a strictly smaller
-//!   `(dist, id)`. A same-predecessor later channel never replaces an
-//!   earlier one (not strictly smaller), preserving adjacency order.
+//! The searches here price arcs through a cost closure like the plain
+//! ones, and an arc is unusable exactly when plain Dijkstra would skip
+//! it (`None`, negative, NaN or infinite). A usable arc must cost
+//! **exactly 1**: path length is then hop count, a BFS level is a
+//! Dijkstra distance class, and no heap or lower bound is needed. The
+//! routing layer's KSP, EDS and Heuristic pools and the Landmark
+//! scheme's trees all price usable edges at 1.0; a debug assertion
+//! checks the contract at every priced arc.
 //!
-//! The heuristic is the max of two consistent lower bounds:
+//! # Same paths as plain Dijkstra
 //!
-//! * **Backward-ball bound**: a bounded backward Dijkstra from the
-//!   target settles a ball `S_b` with exact reverse distances; `h(u)`
-//!   is the exact distance for `u ∈ S_b` and the backward heap's final
-//!   top key otherwise (every unsettled node's true reverse distance is
-//!   at least that key). The backward ball is grown alternately with a
-//!   forward probe ball (advance the smaller top; stop once
-//!   `top_f + top_b ≥ μ`, the best meeting-path length seen), which
-//!   keeps both balls near half the source–target radius — on
-//!   small-world topologies two half-radius balls are far smaller than
-//!   the one full-radius ball the unidirectional search settles.
-//! * **ALT landmark bound**: `max_L |d(L,u) − d(L,t)|` over the
-//!   [`LandmarkTable`]'s hop-metric rows. Admissible and consistent
-//!   **only when every usable edge costs ≥ 1**, which holds for the
-//!   unit-cost searches routing runs (KSP/EDS price edges at 1.0);
-//!   enforced by a debug assertion. A `u32::MAX` row entry means the
-//!   node cannot reach the landmark's component at all, which upgrades
-//!   the bound to "unreachable" and prunes the push entirely.
+//! Every entry point returns the path plain
+//! [`crate::dijkstra::shortest_path_in`] returns, bit for bit: same
+//! cost, nodes and channels. The routing layer can therefore switch
+//! goal-directed search per run without changing a single plan. The
+//! identity rests on one rule, which every edit here must keep.
 //!
-//! The landmark table follows the path cache's staleness discipline: it
-//! is keyed by [`Graph::topology_epoch`] and rebuilt lazily on mismatch
-//! ([`LandmarkTable::ensure_fresh`]), so a stale table can never serve a
-//! search on a mutated topology. Funds movement never invalidates it —
-//! the rows are pure topology.
+//! Plain Dijkstra pops `(dist, node id)` min-first and overwrites a
+//! parent only on a strict improvement. Under unit costs it pops every
+//! node of level `d − 1`, in ascending id, before any node of level `d`,
+//! and the first of them with a usable arc into `v` fixes `v`'s parent
+//! for good. So Dijkstra's parent of `v` is **the smallest-id node one
+//! level closer to the source that has a usable arc into `v`**, joined
+//! by **that node's first usable channel to `v` in its adjacency
+//! order**. The searches apply the rule directly:
 //!
-//! # Pruning bounds and dependency footprints
+//! * [`shortest_path_two_trees_in`] expands each level in ascending node
+//!   id and fixes a node's parent at its first discovery, which is that
+//!   node and that channel.
+//! * [`shortest_path_accel_in`] labels levels, then rebuilds the path
+//!   from the target: at each node it takes the smallest-id node one
+//!   level closer with a usable arc into it, and that node's first
+//!   usable channel to it. A node one level closer with a usable arc
+//!   into a shortest-path node lies on a shortest path itself, so the
+//!   rebuild needs forward levels on shortest-path nodes only.
 //!
-//! The two lower bounds differ in what they depend on, and that matters
-//! to callers that record a channel dependency footprint (the set of
-//! channels the cost closure was consulted on, used for scoped cache
-//! invalidation):
+//! # The point-to-point search
 //!
-//! * The **backward-ball bound** is built by pricing edges under the
-//!   *current* funds configuration. It prunes nodes the plain search
-//!   would settle, so channels the plain search would consult are never
-//!   priced — the consulted-channel set is **not** a sufficient
-//!   dependency footprint, and a later funds move can change the answer
-//!   without touching any consulted channel.
-//! * The **ALT bound** is pure topology: the hop rows lower-bound the
-//!   remaining hop count in the open graph, and usable edges are a
-//!   subset of open edges priced at ≥ 1, so the bound stays valid under
-//!   *any* funds re-configuration. With the `(f, dist, id)` pop order,
-//!   every node with slack (`dist + h ≤ dist(t)`, `dist < dist(t)`) is
-//!   settled before the target, so any funds move that could shorten or
-//!   re-tie the answer must touch a consulted channel.
+//! 1. A forward frontier grows from the source, pricing each arc
+//!    `u → v`. A backward frontier grows from the target, pricing the
+//!    reversed arc `v → u` that a path through `v` then `u` would use.
+//!    Each round expands the smaller frontier by one full level (ties go
+//!    forward) and prices **every** out-edge of every expanded node,
+//!    also when the head is already labelled.
+//! 2. The search stops after the first level at which some node carries
+//!    both labels. With `r_f` and `r_b` the two radii after that level,
+//!    the meeting node gives `D ≤ r_f + r_b`. One level earlier no node
+//!    carried both labels, so `D > r_f + r_b − 1`. Hence `D = r_f + r_b`.
+//! 3. The forward levels end at `r_f`. A restricted forward sweep
+//!    carries them along shortest-path nodes only: it starts at the
+//!    forward frontier's nodes of backward level `r_b` and steps to heads
+//!    one backward level lower until it reaches the target. Those heads
+//!    were expanded by the backward side, so the sweep prices no arc the
+//!    backward side did not.
+//! 4. The rebuild walks back from the target as above.
 //!
-//! [`AccelBounds`] selects between the two regimes; footprint-recording
-//! callers must use [`AccelBounds::TopologyOnly`].
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Labels are per-node `(stamp, levels)` entries cleared in O(1) by a
+//! generation stamp, the scheme of the workspace's ban mask.
+//!
+//! # Footprint sufficiency
+//!
+//! A caller that records a channel footprint (see [`crate::Footprint`])
+//! needs the result to survive any funds move confined to channels the
+//! search never priced. One search is enough for that. Take any path `P`
+//! of length `L ≤ D` after such a move and walk it from the source. Each
+//! of its first `r_f` nodes sits at forward level at most its position,
+//! so it was expanded and all its out-arcs were priced. Those arcs are
+//! unchanged, so the walk stays within the labelled levels. Likewise the
+//! backward side priced `P`'s last `r_b` arcs. Since `L ≤ r_f + r_b`,
+//! the two stretches cover `P`: every arc of `P` was priced, is
+//! unchanged, and `P` was usable before the move too. The same holds the
+//! other way round, so the paths of length at most `D` are the same
+//! before and after. That fixes the distance, the levels of every
+//! shortest-path node and the usable arcs between them, which is all the
+//! rebuild reads. An unreachable answer is sound as well: the side whose
+//! frontier ran empty expanded everything it can reach and priced every
+//! arc leaving that set.
+//!
+//! # Landmark table
+//!
+//! [`LandmarkTable`] picks a deterministic farthest-point landmark set,
+//! keyed by [`Graph::topology_epoch`] and rebuilt lazily on mismatch. No
+//! search reads it; it stays for the `landmark_rebuilds` counter the
+//! engine reports.
 
 use pcn_types::NodeId;
 
-use crate::cost::Cost;
-use crate::dijkstra::{reconstruct, relax, reset, usable, DijkstraScratch, ShortestPathTree};
+use crate::bfs::drain_marked;
+use crate::dijkstra::{usable, ShortestPathTree};
 use crate::{bfs_hops, EdgeRef, Graph, Path, SearchWorkspace, Topology};
 
-/// Landmarks per table: enough rows to bound 100k-node small worlds
-/// well while keeping the table a few megabytes and the rebuild a
-/// handful of BFS sweeps.
+/// Landmarks per table.
 const NUM_LANDMARKS: usize = 8;
 
-/// Which lower bounds a goal-directed search may prune with (see the
-/// module docs' "Pruning bounds and dependency footprints").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum AccelBounds {
-    /// Backward probe ball maxed with the ALT landmark bound. Fastest,
-    /// but the ball is priced under the current funds configuration, so
-    /// the set of channels the cost closure is consulted on is **not** a
-    /// sufficient dependency footprint.
-    #[default]
-    Full,
-    /// ALT landmark bounds only — funds-independent, so the consulted
-    /// channel set remains a sufficient dependency footprint under any
-    /// later funds movement. Required for footprint-recording callers;
-    /// degrades to plain Dijkstra order when no fresh table is available.
-    TopologyOnly,
-}
-
-/// The ALT ≥1-cost contract, checked at every relaxation site that can
-/// price an edge while a fresh landmark table is in play — forward
-/// probe, backward probe, and the A* phase alike — so a sub-unit cost
-/// cannot slip in through whichever loop happens to price it first.
-#[inline]
-fn debug_assert_alt_cost(alt: Option<&LandmarkTable>, w: f64) {
-    debug_assert!(
-        alt.is_none() || w >= 1.0,
-        "ALT landmark bounds require unit-or-larger edge costs, got {w}"
-    );
-}
-
-/// Epoch-keyed ALT landmark table: hop-metric distance rows from a
-/// deterministic farthest-point landmark set.
+/// Epoch-keyed landmark set: deterministic farthest-point landmarks in
+/// the hop metric.
 ///
 /// Owned by a [`SearchWorkspace`]; [`LandmarkTable::ensure_fresh`] is
 /// cheap when the table already matches the graph's
-/// [`Graph::topology_epoch`] (two integer compares) and rebuilds the
-/// rows with level-synchronous BFS sweeps otherwise.
+/// [`Graph::topology_epoch`] (two integer compares) and reselects the
+/// landmarks with level-synchronous BFS sweeps otherwise.
 #[derive(Debug, Default)]
 pub struct LandmarkTable {
     landmarks: Vec<NodeId>,
-    /// Row-major hop distances: row `l` spans `[l·nodes, (l+1)·nodes)`.
-    /// `u32::MAX` marks a node unreachable from that landmark.
-    rows: Vec<u32>,
-    nodes: usize,
-    /// `(node_count, topology_epoch)` the rows were built for; `None`
+    /// `(node_count, topology_epoch)` the set was chosen for; `None`
     /// until the first build. Any mismatch means stale.
     built_epoch: Option<(usize, u64)>,
     rebuilds: u64,
@@ -142,7 +120,7 @@ impl LandmarkTable {
         LandmarkTable::default()
     }
 
-    /// Whether the rows match `g`'s current size and topology epoch.
+    /// Whether the landmarks match `g`'s current size and topology epoch.
     pub fn is_fresh(&self, g: &Graph) -> bool {
         self.built_epoch == Some((g.node_count(), g.topology_epoch()))
     }
@@ -177,17 +155,13 @@ impl LandmarkTable {
             return;
         }
         let n = g.node_count();
-        self.nodes = n;
         self.landmarks.clear();
-        self.rows.clear();
         if n > 0 {
             let want = NUM_LANDMARKS.min(n);
             let seed_hops = bfs_hops(g, NodeId::from_index(0));
             let first = farthest_finite(&seed_hops).unwrap_or(NodeId::from_index(0));
-            let row = bfs_hops(g, first);
-            let mut min_hops = row.clone();
+            let mut min_hops = bfs_hops(g, first);
             self.landmarks.push(first);
-            self.rows.extend_from_slice(&row);
             while self.landmarks.len() < want {
                 // The next landmark maximizes distance-to-set; a best
                 // value of 0 means every reachable node already is a
@@ -196,12 +170,10 @@ impl LandmarkTable {
                 else {
                     break;
                 };
-                let row = bfs_hops(g, next);
-                for (m, &h) in min_hops.iter_mut().zip(&row) {
+                for (m, h) in min_hops.iter_mut().zip(bfs_hops(g, next)) {
                     *m = (*m).min(h);
                 }
                 self.landmarks.push(next);
-                self.rows.extend_from_slice(&row);
             }
         }
         self.built_epoch = Some((n, g.topology_epoch()));
@@ -221,129 +193,101 @@ fn farthest_finite(hops: &[u32]) -> Option<NodeId> {
     best.map(|(_, i)| NodeId::from_index(i))
 }
 
-/// Reusable goal-directed search state: the bidirectional probe balls,
-/// the A* heap (keyed `(f, dist, id)`), the ALT target columns, and a
-/// second recycled tree for [`shortest_path_two_trees_in`].
+/// Index of the forward side (levels from the source) in a label.
+const FWD: usize = 0;
+/// Index of the backward side (levels to the target) in a label.
+const BWD: usize = 1;
+/// A side's level while the node is unlabelled on that side.
+const UNSEEN: u32 = u32::MAX;
+
+/// One node's forward and backward levels, valid only while `stamp`
+/// equals the current search's stamp.
+#[derive(Clone, Copy, Debug, Default)]
+struct Label {
+    stamp: u32,
+    level: [u32; 2],
+}
+
+/// Per-node levels of one point-to-point search. A reset bumps the
+/// stamp, which makes every older label stale; only a reset that wraps
+/// the stamp rewrites the array. The stamp of a search is never 0, the
+/// stamp of a slot never written.
+#[derive(Debug, Default)]
+struct Levels {
+    labels: Vec<Label>,
+    stamp: u32,
+}
+
+impl Levels {
+    fn reset(&mut self, n: usize) {
+        if self.stamp == u32::MAX {
+            self.labels.fill(Label::default());
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        if self.labels.len() < n {
+            self.labels.resize(n, Label::default());
+        }
+    }
+
+    #[inline]
+    fn get(&self, v: NodeId, side: usize) -> u32 {
+        let l = &self.labels[v.index()];
+        if l.stamp == self.stamp {
+            l.level[side]
+        } else {
+            UNSEEN
+        }
+    }
+
+    /// `v`'s levels in the current search, both unseen if stale.
+    #[inline]
+    fn entry(&mut self, v: NodeId) -> &mut [u32; 2] {
+        let l = &mut self.labels[v.index()];
+        if l.stamp != self.stamp {
+            *l = Label {
+                stamp: self.stamp,
+                level: [UNSEEN; 2],
+            };
+        }
+        &mut l.level
+    }
+}
+
+/// Reusable goal-directed search state: both sides' levels, the level
+/// frontiers, the discovery marks of the trees, and a second recycled
+/// tree for [`shortest_path_two_trees_in`].
 #[derive(Debug, Default)]
 pub(crate) struct AccelScratch {
-    dist_f: Vec<f64>,
-    dist_b: Vec<f64>,
-    settled_b: Vec<bool>,
-    heap_f: BinaryHeap<Reverse<(Cost, NodeId)>>,
-    heap_b: BinaryHeap<Reverse<(Cost, NodeId)>>,
-    heap2: BinaryHeap<Reverse<(Cost, Cost, NodeId)>>,
-    /// Per-search compaction of the landmark rows against the target:
-    /// `(row index, hops(landmark, target))` for landmarks that reach
-    /// the target at all.
-    tcol: Vec<(u32, u32)>,
+    levels: Levels,
+    fwd: Vec<NodeId>,
+    bwd: Vec<NodeId>,
+    next: Vec<NodeId>,
+    marks: Vec<u64>,
     pub(crate) tree_b: ShortestPathTree,
-    /// Monotone settled-node count across every goal-directed search on
-    /// this scratch (both probe balls plus the A* phase).
+    /// Monotone count of nodes whose adjacency a goal-directed search
+    /// expanded: both sides and the restricted sweep, or every tree node.
     pub(crate) settled: u64,
 }
 
-/// Combined consistent lower bound on the remaining distance to the
-/// target: backward-ball bound (when a probe ran, i.e.
-/// [`AccelBounds::Full`]) maxed with the ALT landmark bound.
-/// `f64::INFINITY` means "provably cannot reach the target" and the
-/// caller skips the push.
-fn lower_bound(
-    ball: Option<(&[f64], &[bool], f64)>,
-    alt: Option<&LandmarkTable>,
-    tcol: &[(u32, u32)],
-    v: usize,
-) -> f64 {
-    let mut h = match ball {
-        Some((dist_b, settled_b, top_b)) => {
-            if settled_b[v] {
-                dist_b[v]
-            } else {
-                top_b
-            }
-        }
-        None => 0.0,
-    };
-    if let Some(table) = alt {
-        for &(l, dt) in tcol {
-            let du = table.rows[l as usize * table.nodes + v];
-            if du == u32::MAX {
-                // The target's landmark cannot reach `v`: different
-                // components, so `v` cannot reach the target either.
-                return f64::INFINITY;
-            }
-            let bound = (i64::from(du) - i64::from(dt)).unsigned_abs() as f64;
-            if bound > h {
-                h = bound;
-            }
-        }
-    }
-    h
+/// Whether a priced arc is usable, under the unit-cost contract.
+#[inline]
+fn unit_usable(cost: Option<f64>) -> bool {
+    let w = usable(cost);
+    debug_assert!(
+        w.is_none_or(|w| w == 1.0),
+        "goal-directed searches require unit edge costs, got {w:?}"
+    );
+    w.is_some()
 }
 
-/// [`crate::shortest_path_in`], goal-directed: bidirectional probe
-/// phase, then a canonical A* over the combined lower bound. Returns the
-/// bit-identical `(cost, path)` of the unidirectional search.
-///
-/// Generic over [`Topology`]; never consults a landmark table. Use
-/// [`shortest_path_accel_in`] on a [`Graph`] to add ALT bounds.
-pub fn shortest_path_bidir_in<G, F>(
+/// [`crate::shortest_path_in`] under the unit-cost contract, as a
+/// bidirectional BFS with a canonical rebuild (see the module docs).
+/// Returns the bit-identical `(cost, path)` of the plain search, on any
+/// [`Topology`].
+pub fn shortest_path_accel_in<G, F>(
     g: &G,
     ws: &mut SearchWorkspace,
-    from: NodeId,
-    to: NodeId,
-    cost: F,
-) -> Option<(f64, Path)>
-where
-    G: Topology,
-    F: FnMut(EdgeRef) -> Option<f64>,
-{
-    let SearchWorkspace {
-        dijkstra, accel, ..
-    } = ws;
-    accel_scratch(g, dijkstra, accel, None, AccelBounds::Full, from, to, cost)
-}
-
-/// [`shortest_path_bidir_in`] plus ALT landmark lower bounds when the
-/// workspace's [`LandmarkTable`] is fresh for `g` (stale or absent rows
-/// silently degrade to the pure bidirectional search — never to a wrong
-/// answer). `bounds` selects the pruning regime: [`AccelBounds::Full`]
-/// adds the backward probe ball, [`AccelBounds::TopologyOnly`] skips it
-/// so footprint-recording callers consult a sufficient channel set.
-///
-/// # Contract
-///
-/// With a fresh table, every usable edge must cost **at least 1** (the
-/// landmark rows are hop-metric lower bounds); the unit-cost closures of
-/// the routing layer satisfy this, and a debug assertion enforces it at
-/// every relaxation site.
-pub fn shortest_path_accel_in<F>(
-    g: &Graph,
-    ws: &mut SearchWorkspace,
-    from: NodeId,
-    to: NodeId,
-    cost: F,
-    bounds: AccelBounds,
-) -> Option<(f64, Path)>
-where
-    F: FnMut(EdgeRef) -> Option<f64>,
-{
-    let SearchWorkspace {
-        dijkstra,
-        accel,
-        landmarks,
-        ..
-    } = ws;
-    let alt = landmarks.is_fresh(g).then_some(&*landmarks);
-    accel_scratch(g, dijkstra, accel, alt, bounds, from, to, cost)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn accel_scratch<G, F>(
-    g: &G,
-    dij: &mut DijkstraScratch,
-    acc: &mut AccelScratch,
-    alt: Option<&LandmarkTable>,
-    bounds: AccelBounds,
     from: NodeId,
     to: NodeId,
     mut cost: F,
@@ -360,181 +304,117 @@ where
         return Some((0.0, Path::trivial(from)));
     }
     let AccelScratch {
-        dist_f,
-        dist_b,
-        settled_b,
-        heap_f,
-        heap_b,
-        heap2,
-        tcol,
+        levels,
+        fwd,
+        bwd,
+        next,
         settled,
-        tree_b: _,
-    } = acc;
-    tcol.clear();
-    if let Some(table) = alt {
-        for l in 0..table.landmarks.len() {
-            let dt = table.rows[l * table.nodes + to.index()];
-            if dt != u32::MAX {
-                tcol.push((l as u32, dt));
-            }
-        }
-    }
+        ..
+    } = &mut ws.accel;
+    levels.reset(n);
+    levels.entry(from)[FWD] = 0;
+    levels.entry(to)[BWD] = 0;
+    fwd.clear();
+    fwd.push(from);
+    bwd.clear();
+    bwd.push(to);
 
-    // Phase 1 (AccelBounds::Full only): alternating bidirectional probe.
-    // Grows a forward ball from `from` and a backward ball from `to`
-    // (advance the smaller top; forward on ties), tracking μ = the best
-    // meeting-path length seen. No parents are kept — the phase only
-    // exists to size the backward ball that phase 2 mines for lower
-    // bounds. TopologyOnly skips it entirely: the ball bound prices
-    // edges under the current funds configuration, which would let
-    // phase 2 prune nodes whose channels a footprint must record.
-    let ball = if bounds == AccelBounds::Full {
-        dist_f.clear();
-        dist_f.resize(n, f64::INFINITY);
-        dist_b.clear();
-        dist_b.resize(n, f64::INFINITY);
-        settled_b.clear();
-        settled_b.resize(n, false);
-        heap_f.clear();
-        heap_b.clear();
-        dist_f[from.index()] = 0.0;
-        heap_f.push(Reverse((Cost(0.0), from)));
-        dist_b[to.index()] = 0.0;
-        heap_b.push(Reverse((Cost(0.0), to)));
-        let mut mu = f64::INFINITY;
-        loop {
-            let top_f = heap_f.peek().map_or(f64::INFINITY, |Reverse((c, _))| c.0);
-            let top_b = heap_b.peek().map_or(f64::INFINITY, |Reverse((c, _))| c.0);
-            if top_f + top_b >= mu {
-                // Covers exhaustion too: both tops infinite ⇒ the sum is
-                // infinite ⇒ stop (μ still infinite means unreachable).
-                break;
-            }
-            if top_f <= top_b {
-                let Some(Reverse((Cost(d), u))) = heap_f.pop() else {
-                    break;
-                };
-                if d > dist_f[u.index()] {
-                    continue; // stale entry
-                }
-                *settled += 1;
-                if dist_b[u.index()].is_finite() {
-                    // Any backward label is the length of a real u→to path,
-                    // so μ stays an achievable upper bound.
-                    mu = mu.min(d + dist_b[u.index()]);
-                }
-                for e in g.out_edges(u) {
-                    let Some(w) = usable(cost(e)) else { continue };
-                    debug_assert_alt_cost(alt, w);
-                    let nd = d + w;
-                    if nd < dist_f[e.to.index()] {
-                        dist_f[e.to.index()] = nd;
-                        heap_f.push(Reverse((Cost(nd), e.to)));
-                    }
-                }
-            } else {
-                let Some(Reverse((Cost(d), u))) = heap_b.pop() else {
-                    break;
-                };
-                if d > dist_b[u.index()] {
-                    continue; // stale entry
-                }
-                *settled += 1;
-                settled_b[u.index()] = true;
-                if dist_f[u.index()].is_finite() {
-                    mu = mu.min(d + dist_f[u.index()]);
-                }
-                for e in g.out_edges(u) {
-                    // Traversing the channel backwards prices the forward
-                    // arc e.to → u, exactly what a path through u pays.
-                    let flipped = EdgeRef {
-                        id: e.id,
-                        from: e.to,
-                        to: e.from,
-                    };
-                    let Some(w) = usable(cost(flipped)) else {
-                        continue;
-                    };
-                    debug_assert_alt_cost(alt, w);
-                    let nd = d + w;
-                    if nd < dist_b[e.to.index()] {
-                        dist_b[e.to.index()] = nd;
-                        heap_b.push(Reverse((Cost(nd), e.to)));
-                    }
-                }
-            }
-        }
-        if !mu.is_finite() {
+    // Bidirectional BFS, one full level of the smaller frontier a round,
+    // until the sides meet.
+    let mut radius = [0u32; 2];
+    loop {
+        let side = if fwd.len() <= bwd.len() { FWD } else { BWD };
+        let frontier = if side == FWD { &mut *fwd } else { &mut *bwd };
+        if frontier.is_empty() {
             return None;
         }
-        // Every unsettled node's true backward distance is at least the
-        // final top key (exhausted heap ⇒ the settled set is complete and
-        // the bound is rightly infinite).
-        let top_b_final = heap_b.peek().map_or(f64::INFINITY, |Reverse((c, _))| c.0);
-        Some((&**dist_b, &**settled_b, top_b_final))
-    } else {
-        None
-    };
-
-    // Phase 2: canonical A* from `from`, authoritative for the answer.
-    reset(&mut dij.dist, &mut dij.parent, &mut dij.heap, n);
-    heap2.clear();
-    dij.dist[from.index()] = 0.0;
-    let h0 = lower_bound(ball, alt, tcol, from.index());
-    if h0.is_finite() {
-        heap2.push(Reverse((Cost(h0), Cost(0.0), from)));
-    }
-    while let Some(Reverse((Cost(_), Cost(d), u))) = heap2.pop() {
-        if d > dij.dist[u.index()] {
-            continue; // stale entry
-        }
-        *settled += 1;
-        if u == to {
-            break;
-        }
-        for e in g.out_edges(u) {
-            let Some(w) = usable(cost(e)) else { continue };
-            debug_assert_alt_cost(alt, w);
-            let nd = d + w;
-            let vi = e.to.index();
-            if nd < dij.dist[vi] {
-                dij.dist[vi] = nd;
-                dij.parent[vi] = Some((u, e.id));
-                let hv = lower_bound(ball, alt, tcol, vi);
-                if hv.is_finite() {
-                    heap2.push(Reverse((Cost(nd + hv), Cost(nd), e.to)));
+        *settled += frontier.len() as u64;
+        radius[side] += 1;
+        next.clear();
+        let mut met = false;
+        for &u in frontier.iter() {
+            for e in g.out_edges(u) {
+                let arc = if side == FWD { e } else { e.reversed() };
+                if !unit_usable(cost(arc)) {
+                    continue;
                 }
-            } else if nd == dij.dist[vi] {
-                // Canonical tie-break: keep the parent with the smaller
-                // `(dist, id)`. Both candidates are settled, so their
-                // labels are final and the comparison is well-defined.
-                // A same-parent later channel is not strictly smaller
-                // and never replaces the adjacency-order winner.
-                if let Some((p, _)) = dij.parent[vi] {
-                    let pd = dij.dist[p.index()];
-                    if d < pd || (d == pd && u < p) {
-                        dij.parent[vi] = Some((u, e.id));
-                    }
+                let level = levels.entry(e.to);
+                if level[side] == UNSEEN {
+                    level[side] = radius[side];
+                    met |= level[1 - side] != UNSEEN;
+                    next.push(e.to);
                 }
             }
         }
+        std::mem::swap(frontier, next);
+        if met {
+            break;
+        }
     }
-    if !dij.dist[to.index()].is_finite() {
-        return None;
+
+    // Restricted forward sweep past the forward frontier, along
+    // shortest-path nodes only.
+    let [rf, rb] = radius;
+    fwd.retain(|&u| levels.get(u, BWD) == rb);
+    for step in 1..=rb {
+        *settled += fwd.len() as u64;
+        next.clear();
+        for &u in fwd.iter() {
+            for e in g.out_edges(u) {
+                if levels.get(e.to, BWD) == rb - step
+                    && levels.get(e.to, FWD) == UNSEEN
+                    && unit_usable(cost(e))
+                {
+                    levels.entry(e.to)[FWD] = rf + step;
+                    next.push(e.to);
+                }
+            }
+        }
+        std::mem::swap(fwd, next);
     }
-    let path = reconstruct(from, to, &dij.parent).expect("finite distance implies a parent chain");
-    Some((dij.dist[to.index()], path))
+
+    // Canonical rebuild from the target.
+    let d = rf + rb;
+    let mut nodes = Vec::with_capacity(d as usize + 1);
+    let mut channels = Vec::with_capacity(d as usize);
+    let mut v = to;
+    nodes.push(v);
+    for level in (0..d).rev() {
+        let mut pred: Option<NodeId> = None;
+        for e in g.out_edges(v) {
+            if levels.get(e.to, FWD) == level
+                && pred.is_none_or(|p| e.to < p)
+                && unit_usable(cost(e.reversed()))
+            {
+                pred = Some(e.to);
+            }
+        }
+        let u = pred.expect("a shortest-path node has a usable arc from one level closer");
+        let arc = g
+            .out_edges(u)
+            .find(|&e| e.to == v && unit_usable(cost(e)))
+            .expect("the predecessor's arc was just priced usable");
+        nodes.push(u);
+        channels.push(arc.id);
+        v = u;
+    }
+    nodes.reverse();
+    channels.reverse();
+    Some((f64::from(d), Path::new(nodes, channels)))
 }
 
 /// Two full shortest-path trees in one call — from `a` and from `b`,
-/// both priced by the same (direction-aware) `cost` closure — without
-/// the second tree evicting the first from the workspace.
+/// both priced by the same (direction-aware) unit `cost` closure —
+/// without the second tree evicting the first from the workspace.
 ///
 /// This is the batched form of the Landmark scheme's per-plan legs: one
 /// tree from the payment source and one from the destination replace
 /// `2·k` single-pair searches, and `tree.path_to(landmark)` reads each
-/// leg off in O(path length). The returned references borrow the
-/// workspace and are overwritten by the next tree query on it.
+/// leg off in O(path length). Each tree is a BFS that expands its
+/// levels in ascending node id and fixes a node's parent at its first
+/// discovery, so every distance and parent equals plain Dijkstra's tree
+/// (see the module docs). The returned references borrow the workspace
+/// and are overwritten by the next tree query on it.
 pub fn shortest_path_two_trees_in<'a, G, F>(
     g: &G,
     ws: &'a mut SearchWorkspace,
@@ -546,61 +426,82 @@ where
     G: Topology,
     F: FnMut(EdgeRef) -> Option<f64>,
 {
-    let n = g.node_count();
     let SearchWorkspace {
-        dijkstra: dij,
-        accel: acc,
-        ..
+        dijkstra, accel, ..
     } = ws;
-    reset(&mut dij.tree.dist, &mut dij.tree.parent, &mut dij.heap, n);
-    dij.tree.source = a;
-    relax(
-        g,
-        a,
-        None,
-        &mut cost,
-        &mut dij.tree.dist,
-        &mut dij.tree.parent,
-        &mut dij.heap,
-        &mut dij.settled,
-    );
-    reset(
-        &mut acc.tree_b.dist,
-        &mut acc.tree_b.parent,
-        &mut acc.heap_f,
-        n,
-    );
-    acc.tree_b.source = b;
-    relax(
-        g,
-        b,
-        None,
-        &mut cost,
-        &mut acc.tree_b.dist,
-        &mut acc.tree_b.parent,
-        &mut acc.heap_f,
-        &mut acc.settled,
-    );
-    (&dij.tree, &acc.tree_b)
+    let AccelScratch {
+        fwd,
+        marks,
+        tree_b,
+        settled,
+        ..
+    } = accel;
+    bfs_tree(g, &mut dijkstra.tree, fwd, marks, settled, a, &mut cost);
+    bfs_tree(g, tree_b, fwd, marks, settled, b, &mut cost);
+    (&dijkstra.tree, tree_b)
+}
+
+/// One BFS shortest-path tree from `source` into `tree`.
+fn bfs_tree<G, F>(
+    g: &G,
+    tree: &mut ShortestPathTree,
+    frontier: &mut Vec<NodeId>,
+    marks: &mut Vec<u64>,
+    settled: &mut u64,
+    source: NodeId,
+    cost: &mut F,
+) where
+    G: Topology,
+    F: FnMut(EdgeRef) -> Option<f64>,
+{
+    let n = g.node_count();
+    tree.source = source;
+    tree.dist.clear();
+    tree.dist.resize(n, f64::INFINITY);
+    tree.parent.clear();
+    tree.parent.resize(n, None);
+    if source.index() >= n {
+        return;
+    }
+    marks.clear();
+    marks.resize(n.div_ceil(64), 0);
+    tree.dist[source.index()] = 0.0;
+    frontier.clear();
+    frontier.push(source);
+    let mut depth = 0.0;
+    while !frontier.is_empty() {
+        depth += 1.0;
+        *settled += frontier.len() as u64;
+        for &u in frontier.iter() {
+            for e in g.out_edges(u) {
+                let v = e.to.index();
+                if tree.dist[v].is_infinite() && unit_usable(cost(e)) {
+                    tree.dist[v] = depth;
+                    tree.parent[v] = Some((u, e.id));
+                    marks[v / 64] |= 1 << (v % 64);
+                }
+            }
+        }
+        frontier.clear();
+        drain_marked(marks, frontier);
+    }
 }
 
 /// [`crate::k_shortest_paths_in`] with every inner single-pair search
-/// goal-directed ([`shortest_path_accel_in`] under `bounds`), plus the
+/// goal-directed ([`shortest_path_accel_in`], unit costs only), plus the
 /// early-stop hook of [`crate::k_shortest_paths_until_in`]. Results are
-/// bit-identical to the plain form for any `until` and either bound
-/// regime.
-#[allow(clippy::too_many_arguments)]
-pub fn k_shortest_paths_accel_in<F, U>(
-    g: &Graph,
+/// bit-identical to the plain form for any `until`.
+pub fn k_shortest_paths_accel_in<G, F, U>(
+    g: &G,
     ws: &mut SearchWorkspace,
     from: NodeId,
     to: NodeId,
     k: usize,
     cost: F,
     until: U,
-    bounds: AccelBounds,
 ) -> Vec<Path>
 where
+    G: Topology,
     F: FnMut(EdgeRef) -> Option<f64>,
     U: FnMut(&Path) -> bool,
 {
@@ -611,33 +512,34 @@ where
         to,
         k,
         cost,
-        |g, ws, s, t, c| shortest_path_accel_in(g, ws, s, t, c, bounds),
+        |g, ws, s, t, c| shortest_path_accel_in(g, ws, s, t, c),
         until,
     )
 }
 
 /// [`crate::edge_disjoint_shortest_paths_in`] with every greedy round's
-/// search goal-directed under `bounds`; bit-identical results either way.
-pub fn edge_disjoint_shortest_paths_accel_in<F>(
-    g: &Graph,
+/// search goal-directed (unit costs only); bit-identical results.
+pub fn edge_disjoint_shortest_paths_accel_in<G, F>(
+    g: &G,
     ws: &mut SearchWorkspace,
     from: NodeId,
     to: NodeId,
     k: usize,
     cost: F,
-    bounds: AccelBounds,
 ) -> Vec<Path>
 where
+    G: Topology,
     F: FnMut(EdgeRef) -> Option<f64>,
 {
     crate::disjoint::eds_core(g, ws, from, to, k, cost, |g, ws, s, t, c| {
-        shortest_path_accel_in(g, ws, s, t, c, bounds)
+        shortest_path_accel_in(g, ws, s, t, c)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Footprint;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -645,18 +547,39 @@ mod tests {
         NodeId::new(i)
     }
 
-    fn random_graph(rng: &mut StdRng, nn: usize, p: f64) -> (Graph, Vec<f64>) {
+    fn random_graph(rng: &mut StdRng, nn: usize, p: f64) -> Graph {
         let mut g = Graph::new(nn);
-        let mut w = Vec::new();
         for a in 0..nn {
             for b in (a + 1)..nn {
                 if rng.random_bool(p) {
                     g.add_edge(NodeId::from_index(a), NodeId::from_index(b));
-                    w.push(rng.random_range(1..9) as f64);
                 }
             }
         }
-        (g, w)
+        g
+    }
+
+    /// Per-channel usability: 0 both ways, 1 only from the smaller id,
+    /// 2 only from the larger id, 3 neither.
+    fn random_arcs(rng: &mut StdRng, channels: usize) -> Vec<u8> {
+        (0..channels)
+            .map(|_| match rng.random_range(0..8u8) {
+                0 => 1,
+                1 => 2,
+                2 => 3,
+                _ => 0,
+            })
+            .collect()
+    }
+
+    fn arc_cost(arcs: &[u8], e: EdgeRef) -> Option<f64> {
+        let usable = match arcs[e.id.index()] {
+            0 => true,
+            1 => e.from < e.to,
+            2 => e.from > e.to,
+            _ => false,
+        };
+        usable.then_some(1.0)
     }
 
     fn assert_same(a: &Option<(f64, Path)>, b: &Option<(f64, Path)>, label: &str) {
@@ -671,37 +594,70 @@ mod tests {
         }
     }
 
+    /// Every ordered pair of random graphs with one-way arcs, banned
+    /// channels and banned nodes: the shapes of Yen and EDS spur searches.
     #[test]
-    fn bidir_matches_unidirectional_on_random_weighted_graphs() {
+    fn bidir_matches_unidirectional_on_random_unit_cost_graphs() {
         let mut rng = StdRng::seed_from_u64(11);
         let mut ws = SearchWorkspace::new();
-        for round in 0..60 {
-            let nn = rng.random_range(2..14);
-            let (g, w) = random_graph(&mut rng, nn, 0.4);
-            let from = n(0);
-            let to = NodeId::from_index(g.node_count() - 1);
-            let plain = g.shortest_path_in(&mut ws, from, to, |e| Some(w[e.id.index()]));
-            let bidir = shortest_path_bidir_in(&g, &mut ws, from, to, |e| Some(w[e.id.index()]));
-            assert_same(&plain, &bidir, &format!("round {round}"));
+        for round in 0..80 {
+            let (nn, p) = (rng.random_range(2..16), rng.random_range(0.15..0.5));
+            let g = random_graph(&mut rng, nn, p);
+            let arcs = random_arcs(&mut rng, g.edge_count());
+            let banned: Vec<bool> = (0..nn).map(|_| rng.random_bool(0.1)).collect();
+            let cost = |e: EdgeRef| {
+                if banned[e.from.index()] || banned[e.to.index()] {
+                    None
+                } else {
+                    arc_cost(&arcs, e)
+                }
+            };
+            for from in g.nodes() {
+                for to in g.nodes() {
+                    let plain = g.shortest_path_in(&mut ws, from, to, cost);
+                    let accel = shortest_path_accel_in(&g, &mut ws, from, to, cost);
+                    assert_same(&plain, &accel, &format!("round {round} {from}->{to}"));
+                }
+            }
         }
     }
 
+    /// A shortcut usable only towards the source: the backward side must
+    /// price the reversed arc, not the arc it scans. The leaves on the
+    /// source make the forward frontier the larger one, so the backward
+    /// side expands the target first.
     #[test]
     fn bidir_handles_directional_and_unusable_costs() {
+        for leaves in [0, 6] {
+            let mut g = Graph::new(4 + leaves);
+            g.add_edge(n(0), n(1));
+            g.add_edge(n(1), n(2));
+            g.add_edge(n(2), n(3));
+            let shortcut = g.add_edge(n(0), n(3));
+            for l in 4..4 + leaves {
+                g.add_edge(n(0), NodeId::from_index(l));
+            }
+            let cost = |e: EdgeRef| (e.id != shortcut || e.from == n(3)).then_some(1.0);
+            let mut ws = SearchWorkspace::new();
+            let fwd = shortest_path_accel_in(&g, &mut ws, n(0), n(3), cost);
+            assert_same(&fwd, &g.shortest_path_in(&mut ws, n(0), n(3), cost), "0->3");
+            assert_eq!(fwd.unwrap().1.nodes(), &[n(0), n(1), n(2), n(3)]);
+            let back = shortest_path_accel_in(&g, &mut ws, n(3), n(0), cost);
+            assert_same(
+                &back,
+                &g.shortest_path_in(&mut ws, n(3), n(0), cost),
+                "3->0",
+            );
+            assert_eq!(back.unwrap().1.channels(), &[shortcut]);
+        }
+        // A line usable only forward is unreachable backward.
         let mut g = Graph::new(3);
         g.add_edge(n(0), n(1));
         g.add_edge(n(1), n(2));
         let mut ws = SearchWorkspace::new();
-        // Direction-dependent costs: usable only in the forward direction.
         let fwd_only = |e: EdgeRef| (e.from < e.to).then_some(1.0);
-        let plain = g.shortest_path_in(&mut ws, n(0), n(2), fwd_only);
-        let bidir = shortest_path_bidir_in(&g, &mut ws, n(0), n(2), fwd_only);
-        assert_same(&plain, &bidir, "forward-only");
-        assert!(plain.is_some());
-        let rev_plain = g.shortest_path_in(&mut ws, n(2), n(0), fwd_only);
-        let rev_bidir = shortest_path_bidir_in(&g, &mut ws, n(2), n(0), fwd_only);
-        assert_same(&rev_plain, &rev_bidir, "reverse unusable");
-        assert!(rev_plain.is_none());
+        assert!(shortest_path_accel_in(&g, &mut ws, n(0), n(2), fwd_only).is_some());
+        assert!(shortest_path_accel_in(&g, &mut ws, n(2), n(0), fwd_only).is_none());
     }
 
     #[test]
@@ -710,37 +666,108 @@ mod tests {
         g.add_edge(n(0), n(1));
         let mut ws = SearchWorkspace::new();
         // Self path.
-        let (c, p) = shortest_path_bidir_in(&g, &mut ws, n(0), n(0), |_| Some(1.0)).unwrap();
+        let (c, p) = shortest_path_accel_in(&g, &mut ws, n(0), n(0), |_| Some(1.0)).unwrap();
         assert_eq!((c, p.hops()), (0.0, 0));
         // Unreachable and out of range.
-        assert!(shortest_path_bidir_in(&g, &mut ws, n(0), n(3), |_| Some(1.0)).is_none());
-        assert!(shortest_path_bidir_in(&g, &mut ws, n(0), n(9), |_| Some(1.0)).is_none());
-        assert!(shortest_path_bidir_in(&g, &mut ws, n(9), n(0), |_| Some(1.0)).is_none());
+        assert!(shortest_path_accel_in(&g, &mut ws, n(0), n(3), |_| Some(1.0)).is_none());
+        assert!(shortest_path_accel_in(&g, &mut ws, n(0), n(9), |_| Some(1.0)).is_none());
+        assert!(shortest_path_accel_in(&g, &mut ws, n(9), n(0), |_| Some(1.0)).is_none());
     }
 
+    /// Two equal-length routes 0-1-{5,4}-6-7, with 5 ahead of 4 in every
+    /// adjacency row. With leaves on the source the search stops at
+    /// forward radius 1, so 4 and 5 are labelled by the restricted sweep
+    /// only; the rebuild must still take the smaller id, 4.
     #[test]
-    fn alt_accelerated_search_matches_plain_under_bans() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for round in 0..40 {
-            // One workspace per graph: the landmark table tracks a
-            // single graph's epoch stream.
-            let mut ws = SearchWorkspace::new();
-            let nn = rng.random_range(2..16);
-            let (g, _) = random_graph(&mut rng, nn, 0.35);
-            ws.prepare_landmarks(&g);
-            assert!(ws.landmarks.is_fresh(&g));
-            let from = n(0);
-            let to = NodeId::from_index(g.node_count() - 1);
-            // Unit costs with a pseudo-random banned channel set — the
-            // shape of Yen spur searches.
-            let banned: Vec<bool> = (0..64).map(|i| (i * 7 + round) % 5 == 0).collect();
-            let cost =
-                |e: EdgeRef| (!banned.get(e.id.index()).copied().unwrap_or(false)).then_some(1.0);
-            let plain = g.shortest_path_in(&mut ws, from, to, cost);
-            for bounds in [AccelBounds::Full, AccelBounds::TopologyOnly] {
-                let accel = shortest_path_accel_in(&g, &mut ws, from, to, cost, bounds);
-                assert_same(&plain, &accel, &format!("round {round} {bounds:?}"));
+    fn rebuild_takes_smallest_id_predecessor_past_the_forward_frontier() {
+        for leaves in [0, 8] {
+            let mut g = Graph::new(8 + leaves);
+            g.add_edge(n(0), n(1));
+            for l in 8..8 + leaves {
+                g.add_edge(n(0), NodeId::from_index(l));
             }
+            g.add_edge(n(1), n(5));
+            g.add_edge(n(1), n(4));
+            g.add_edge(n(5), n(6));
+            g.add_edge(n(4), n(6));
+            g.add_edge(n(6), n(7));
+            let mut ws = SearchWorkspace::new();
+            let accel = shortest_path_accel_in(&g, &mut ws, n(0), n(7), |_| Some(1.0));
+            let plain = g.shortest_path_in(&mut ws, n(0), n(7), |_| Some(1.0));
+            assert_same(&plain, &accel, &format!("{leaves} leaves"));
+            assert_eq!(
+                accel.unwrap().1.nodes(),
+                &[n(0), n(1), n(4), n(6), n(7)],
+                "{leaves} leaves"
+            );
+        }
+    }
+
+    /// Three parallel channels 1-2 whose first is usable only 2→1: the
+    /// path 0→3 must take the second, the first usable one in 1's
+    /// adjacency order, whichever side priced it.
+    #[test]
+    fn rebuild_takes_first_usable_parallel_channel() {
+        for leaves in [0, 6] {
+            let mut g = Graph::new(4 + leaves);
+            let first = g.add_edge(n(0), n(1));
+            for l in 4..4 + leaves {
+                g.add_edge(n(0), NodeId::from_index(l));
+            }
+            let one_way = g.add_edge(n(1), n(2));
+            let second = g.add_edge(n(1), n(2));
+            g.add_edge(n(1), n(2));
+            let last = g.add_edge(n(2), n(3));
+            let cost = |e: EdgeRef| (e.id != one_way || e.from == n(2)).then_some(1.0);
+            let mut ws = SearchWorkspace::new();
+            let accel = shortest_path_accel_in(&g, &mut ws, n(0), n(3), cost);
+            let plain = g.shortest_path_in(&mut ws, n(0), n(3), cost);
+            assert_same(&plain, &accel, &format!("{leaves} leaves"));
+            assert_eq!(accel.unwrap().1.channels(), &[first, second, last]);
+        }
+    }
+
+    /// The footprint argument on a hand-built world. Frontier {2, 1}
+    /// meets the backward side at 4 while expanding 2; node 1 must still
+    /// be expanded, because funding its unfunded channel 1-3 opens a
+    /// tie 0-1-3-5 that wins on ids. Flipping any channel the search did
+    /// not price, alone or all together, must leave plain Dijkstra's
+    /// answer where the search's was.
+    #[test]
+    fn funds_flip_on_an_unpriced_channel_keeps_the_path() {
+        let mut g = Graph::new(8);
+        g.add_edge(n(0), n(2));
+        g.add_edge(n(0), n(1));
+        g.add_edge(n(2), n(4));
+        g.add_edge(n(4), n(5));
+        let tie = g.add_edge(n(1), n(3));
+        g.add_edge(n(3), n(5));
+        g.add_edge(n(3), n(6));
+        g.add_edge(n(6), n(7));
+        let mut funded = vec![true; g.edge_count()];
+        funded[tie.index()] = false;
+        funded[g.edge_count() - 1] = false;
+        let mut ws = SearchWorkspace::new();
+        let mut fp = Footprint::new();
+        let got = shortest_path_accel_in(&g, &mut ws, n(0), n(5), |e| {
+            fp.record(e.id);
+            funded[e.id.index()].then_some(1.0)
+        });
+        assert_eq!(got.as_ref().unwrap().1.nodes(), &[n(0), n(2), n(4), n(5)]);
+        assert!(fp.contains(tie), "an expanded node's arcs are all priced");
+        let unpriced: Vec<usize> = (0..g.edge_count())
+            .filter(|&c| !fp.contains(pcn_types::ChannelId::from_index(c)))
+            .collect();
+        assert!(!unpriced.is_empty(), "the search priced every channel");
+        let flips = unpriced.iter().map(|&c| vec![c]).chain([unpriced.clone()]);
+        for flip in flips {
+            let mut moved = funded.clone();
+            for &c in &flip {
+                moved[c] = !moved[c];
+            }
+            let cost = |e: EdgeRef| moved[e.id.index()].then_some(1.0);
+            let fresh = g.shortest_path_in(&mut ws, n(0), n(5), cost);
+            assert_same(&got, &fresh, &format!("flipped {flip:?}"));
         }
     }
 
@@ -748,7 +775,7 @@ mod tests {
     fn accel_search_survives_churn_and_epoch_rebuilds() {
         let mut rng = StdRng::seed_from_u64(37);
         let mut ws = SearchWorkspace::new();
-        let (mut g, _) = random_graph(&mut rng, 12, 0.5);
+        let mut g = random_graph(&mut rng, 12, 0.5);
         for round in 0..30 {
             // Mutate: close a random open channel or add an edge.
             let open: Vec<_> = g.open_edges().collect();
@@ -764,8 +791,7 @@ mod tests {
             let from = n(rng.random_range(0..12u32));
             let to = n(rng.random_range(0..12u32));
             let plain = g.shortest_path_in(&mut ws, from, to, |_| Some(1.0));
-            let accel =
-                shortest_path_accel_in(&g, &mut ws, from, to, |_| Some(1.0), AccelBounds::Full);
+            let accel = shortest_path_accel_in(&g, &mut ws, from, to, |_| Some(1.0));
             assert_same(&plain, &accel, &format!("churn round {round}"));
         }
         // Rebuild count tracked epoch changes, not query count.
@@ -777,7 +803,7 @@ mod tests {
     #[test]
     fn landmark_selection_is_deterministic_and_epoch_keyed() {
         let mut rng = StdRng::seed_from_u64(5);
-        let (mut g, _) = random_graph(&mut rng, 20, 0.3);
+        let mut g = random_graph(&mut rng, 20, 0.3);
         let mut t1 = LandmarkTable::new();
         let mut t2 = LandmarkTable::new();
         t1.ensure_fresh(&g);
@@ -799,28 +825,30 @@ mod tests {
     #[test]
     fn two_trees_match_individual_searches() {
         let mut rng = StdRng::seed_from_u64(7);
-        let (g, w) = random_graph(&mut rng, 14, 0.4);
-        let mut ws = SearchWorkspace::new();
-        let cost = |e: EdgeRef| Some(w[e.id.index()]);
-        let (ta, tb) = shortest_path_two_trees_in(&g, &mut ws, n(0), n(13), cost);
-        let (ta, tb) = (ta.clone(), tb.clone());
         let mut ws2 = SearchWorkspace::new();
-        for v in g.nodes() {
-            let from_a = g.shortest_path_in(&mut ws2, n(0), v, cost);
-            assert_eq!(ta.distance(v), from_a.as_ref().map(|(c, _)| *c), "{v}");
-            assert_eq!(
-                ta.path_to(v)
-                    .map(|p| (p.nodes().to_vec(), p.channels().to_vec())),
-                from_a.map(|(_, p)| (p.nodes().to_vec(), p.channels().to_vec())),
-                "tree from a diverges at {v}"
-            );
-            let from_b = g.shortest_path_in(&mut ws2, n(13), v, cost);
-            assert_eq!(
-                tb.path_to(v)
-                    .map(|p| (p.nodes().to_vec(), p.channels().to_vec())),
-                from_b.map(|(_, p)| (p.nodes().to_vec(), p.channels().to_vec())),
-                "tree from b diverges at {v}"
-            );
+        for round in 0..20 {
+            let g = random_graph(&mut rng, 14, 0.3);
+            let arcs = random_arcs(&mut rng, g.edge_count());
+            let cost = |e: EdgeRef| arc_cost(&arcs, e);
+            let mut ws = SearchWorkspace::new();
+            let (ta, tb) = shortest_path_two_trees_in(&g, &mut ws, n(0), n(13), cost);
+            for (tree, root) in [(ta, n(0)), (tb, n(13))] {
+                assert_eq!(tree.source(), root);
+                for v in g.nodes() {
+                    let plain = g.shortest_path_in(&mut ws2, root, v, cost);
+                    assert_eq!(
+                        tree.distance(v),
+                        plain.as_ref().map(|(c, _)| *c),
+                        "round {round} {root}->{v}"
+                    );
+                    assert_eq!(
+                        tree.path_to(v)
+                            .map(|p| (p.nodes().to_vec(), p.channels().to_vec())),
+                        plain.map(|(_, p)| (p.nodes().to_vec(), p.channels().to_vec())),
+                        "round {round}: tree from {root} diverges at {v}"
+                    );
+                }
+            }
         }
     }
 
@@ -830,95 +858,55 @@ mod tests {
         for _ in 0..25 {
             let mut ws = SearchWorkspace::new();
             let nn = rng.random_range(4..14);
-            let (g, _) = random_graph(&mut rng, nn, 0.45);
-            ws.prepare_landmarks(&g);
+            let g = random_graph(&mut rng, nn, 0.45);
+            let arcs = random_arcs(&mut rng, g.edge_count());
+            let cost = |e: EdgeRef| arc_cost(&arcs, e);
             let from = n(0);
             let to = NodeId::from_index(g.node_count() - 1);
-            let plain_ksp = crate::k_shortest_paths_in(&g, &mut ws, from, to, 4, |_| Some(1.0));
-            let plain_eds =
-                crate::edge_disjoint_shortest_paths_in(&g, &mut ws, from, to, 4, |_| Some(1.0));
-            for bounds in [AccelBounds::Full, AccelBounds::TopologyOnly] {
-                let accel_ksp = k_shortest_paths_accel_in(
-                    &g,
-                    &mut ws,
-                    from,
-                    to,
-                    4,
-                    |_| Some(1.0),
-                    |_| false,
-                    bounds,
-                );
-                assert_eq!(plain_ksp, accel_ksp, "{bounds:?}");
-                let accel_eds = edge_disjoint_shortest_paths_accel_in(
-                    &g,
-                    &mut ws,
-                    from,
-                    to,
-                    4,
-                    |_| Some(1.0),
-                    bounds,
-                );
-                assert_eq!(plain_eds, accel_eds, "{bounds:?}");
-            }
+            let plain_ksp = crate::k_shortest_paths_in(&g, &mut ws, from, to, 4, cost);
+            let accel_ksp = k_shortest_paths_accel_in(&g, &mut ws, from, to, 4, cost, |_| false);
+            assert_eq!(plain_ksp, accel_ksp);
+            let plain_eds = crate::edge_disjoint_shortest_paths_in(&g, &mut ws, from, to, 4, cost);
+            let accel_eds = edge_disjoint_shortest_paths_accel_in(&g, &mut ws, from, to, 4, cost);
+            assert_eq!(plain_eds, accel_eds);
         }
     }
 
-    /// The ≥1-cost ALT contract is checked in **every** loop that can
-    /// price an edge, not just the phase-1 forward relaxation: here the
-    /// backward probe is the first to price the sub-unit arc into the
-    /// target (the forward ball never reaches it first).
+    /// The contract is unit costs, not costs of at least 1: a usable arc
+    /// priced below or above 1 trips the debug assertion.
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "unit-or-larger")]
-    fn sub_unit_cost_trips_assert_in_backward_probe() {
+    fn non_unit_cost_trips_assert() {
         let mut g = Graph::new(3);
         g.add_edge(n(0), n(1));
         g.add_edge(n(1), n(2));
-        let mut ws = SearchWorkspace::new();
-        ws.prepare_landmarks(&g);
-        // The arc 1→2 (priced flipped by the backward probe from 2
-        // before the forward ball gets there) costs 0.5.
-        let cost = |e: EdgeRef| {
-            Some(if e.from == n(1) && e.to == n(2) {
-                0.5
-            } else {
-                1.0
+        for w in [0.5, 2.0] {
+            let cost = |e: EdgeRef| {
+                Some(if e.from == n(1) && e.to == n(2) {
+                    w
+                } else {
+                    1.0
+                })
+            };
+            let panic = std::panic::catch_unwind(|| {
+                let mut ws = SearchWorkspace::new();
+                shortest_path_accel_in(&g, &mut ws, n(0), n(2), cost)
             })
-        };
-        let _ = shortest_path_accel_in(&g, &mut ws, n(0), n(2), cost, AccelBounds::Full);
-    }
-
-    /// TopologyOnly runs no probe at all, so the phase-2 A* loop must
-    /// carry the same ≥1-cost check.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "unit-or-larger")]
-    fn sub_unit_cost_trips_assert_in_astar_phase() {
-        let mut g = Graph::new(3);
-        g.add_edge(n(0), n(1));
-        g.add_edge(n(1), n(2));
-        let mut ws = SearchWorkspace::new();
-        ws.prepare_landmarks(&g);
-        let cost = |e: EdgeRef| {
-            Some(if e.from == n(1) && e.to == n(2) {
-                0.5
-            } else {
-                1.0
-            })
-        };
-        let _ = shortest_path_accel_in(&g, &mut ws, n(0), n(2), cost, AccelBounds::TopologyOnly);
+            .expect_err("a non-unit cost must trip the assertion");
+            let msg = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("require unit edge costs"), "{w}: {msg}");
+        }
     }
 
     #[test]
     fn settled_counter_reports_goal_directed_savings() {
         // On an expander-like small world the unidirectional search
         // settles close to the whole ball of radius d(s,t); the two
-        // half-radius balls plus the bounded A* corridor are far
-        // smaller. Aggregate over pairs to keep the assertion robust.
+        // half-radius BFS balls are far smaller. Aggregate over pairs to
+        // keep the assertion robust.
         let mut rng = StdRng::seed_from_u64(99);
         let g = crate::watts_strogatz(800, 8, 0.3, &mut rng);
         let mut ws = SearchWorkspace::new();
-        ws.prepare_landmarks(&g);
         let mut plain_settled = 0;
         let mut accel_settled = 0;
         for round in 0..30u32 {
@@ -927,8 +915,7 @@ mod tests {
             let before = ws.nodes_settled();
             let plain = g.shortest_path_in(&mut ws, from, to, |_| Some(1.0));
             let mid = ws.nodes_settled();
-            let accel =
-                shortest_path_accel_in(&g, &mut ws, from, to, |_| Some(1.0), AccelBounds::Full);
+            let accel = shortest_path_accel_in(&g, &mut ws, from, to, |_| Some(1.0));
             assert_same(&plain, &accel, &format!("pair {round}"));
             plain_settled += mid - before;
             accel_settled += ws.nodes_settled() - mid;

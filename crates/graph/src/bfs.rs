@@ -52,16 +52,22 @@ pub fn bfs_hops<G: Topology>(g: &G, from: NodeId) -> Vec<u32> {
             }
         }
         frontier.clear();
-        for (word, bits) in discovered.iter_mut().enumerate() {
-            let mut b = std::mem::take(bits);
-            while b != 0 {
-                let lane = b.trailing_zeros() as usize;
-                frontier.push(NodeId::from_index(word * 64 + lane));
-                b &= b - 1;
-            }
-        }
+        drain_marked(&mut discovered, &mut frontier);
     }
     hops
+}
+
+/// Appends the nodes marked in the bitmap `marks` to `frontier` in
+/// ascending id and clears their marks.
+pub(crate) fn drain_marked(marks: &mut [u64], frontier: &mut Vec<NodeId>) {
+    for (word, bits) in marks.iter_mut().enumerate() {
+        let mut b = std::mem::take(bits);
+        while b != 0 {
+            let lane = b.trailing_zeros() as usize;
+            frontier.push(NodeId::from_index(word * 64 + lane));
+            b &= b - 1;
+        }
+    }
 }
 
 /// Partitions the nodes into connected components.

@@ -682,12 +682,11 @@ impl Graph {
         crate::dijkstra::shortest_path_in(self, ws, from, to, cost)
     }
 
-    /// [`Graph::shortest_path_in`], goal-directed: bidirectional probe
-    /// phase plus ALT landmark lower bounds when the workspace's table is
-    /// fresh for this graph. Bit-identical results; always runs the full
-    /// [`crate::AccelBounds::Full`] regime — footprint-recording callers
-    /// must go through [`crate::shortest_path_accel_in`] with
-    /// [`crate::AccelBounds::TopologyOnly`] instead.
+    /// [`Graph::shortest_path_in`] for unit costs (every usable edge
+    /// costs exactly 1), as a bidirectional BFS; see
+    /// [`crate::shortest_path_accel_in`]. Bit-identical results, and the
+    /// channels the cost closure is consulted on form a sufficient
+    /// dependency footprint.
     pub fn shortest_path_accel_in<F>(
         &self,
         ws: &mut crate::SearchWorkspace,
@@ -698,7 +697,7 @@ impl Graph {
     where
         F: FnMut(EdgeRef) -> Option<f64>,
     {
-        crate::accel::shortest_path_accel_in(self, ws, from, to, cost, crate::AccelBounds::Full)
+        crate::accel::shortest_path_accel_in(self, ws, from, to, cost)
     }
 
     /// [`Graph::shortest_path_tree`] into a workspace-owned tree: the

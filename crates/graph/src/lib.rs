@@ -65,44 +65,33 @@
 //!
 //! # Search acceleration
 //!
-//! Point-to-point queries have goal-directed variants that return
-//! **bit-identical** paths to the plain searches, so callers can toggle
-//! them freely without changing a single result:
+//! Unit-cost point-to-point queries (every usable edge costs exactly 1,
+//! as in the routing layer's KSP, EDS and Heuristic pools) have
+//! goal-directed variants that return **bit-identical** paths to the
+//! plain Dijkstra searches, so callers can toggle them freely without
+//! changing a single result:
 //!
-//! * [`shortest_path_bidir_in`] — bidirectional Dijkstra: an alternating
-//!   forward/backward probe phase sizes two half-radius balls, then a
-//!   canonical A* over the backward ball's exact distances produces the
-//!   answer. Works on any [`Topology`] and any nonnegative cost closure.
-//! * [`shortest_path_accel_in`] — adds **ALT landmark lower bounds**
-//!   from the workspace's [`LandmarkTable`]: hop-metric rows from a
-//!   deterministic farthest-point landmark set give the admissible
-//!   triangle-inequality bound `max_L |d(L,u) − d(L,t)|`, valid for the
-//!   unit-cost searches the routing layer runs (every usable edge must
-//!   cost ≥ 1; stale tables silently degrade to pure bidirectional).
+//! * [`shortest_path_accel_in`] — a level-synchronous bidirectional
+//!   BFS: expand the smaller frontier one full level at a time until the
+//!   sides meet, then rebuild the path from the target with plain
+//!   Dijkstra's parent rule. Works on any [`Topology`].
 //! * [`k_shortest_paths_accel_in`] / [`edge_disjoint_shortest_paths_accel_in`]
 //!   — the Yen and greedy-EDS loops with every inner single-pair search
 //!   goal-directed.
-//! * [`AccelBounds`] — which lower bounds a search may prune with.
-//!   `Full` (backward probe ball + ALT) is fastest; `TopologyOnly` (ALT
-//!   alone) restricts pruning to funds-independent bounds so the set of
-//!   channels the cost closure is consulted on stays a **sufficient
-//!   dependency footprint** — required whenever the computation records
-//!   one for scoped cache invalidation, because the probe ball is priced
-//!   under the current funds configuration and would otherwise hide
-//!   channels a later funds move can flip.
-//! * [`shortest_path_two_trees_in`] — two full trees (e.g. one from a
-//!   payment's source, one from its destination) in one call, batching
+//! * [`shortest_path_two_trees_in`] — two full BFS trees (e.g. one from
+//!   a payment's source, one from its destination) in one call, batching
 //!   what would otherwise be `2·k` single-pair searches.
 //!
-//! Bit-identity rests on a canonical tie-break, spelled out in the
-//! `accel` module docs: the plain search's final parent for any node on
-//! the returned chain is the optimal predecessor with the smallest
-//! `(dist, node id)` (carrying the first channel in its adjacency order
-//! achieving the minimum), and the A* phase enforces exactly that parent
-//! on equal-distance relaxations instead of relying on pop order. The
-//! [`LandmarkTable`] follows the routing path cache's staleness
-//! discipline: rows are keyed by [`Graph::topology_epoch`] and rebuilt
-//! lazily on mismatch, so a stale table can never serve a search.
+//! Bit-identity rests on plain Dijkstra's parent rule under unit costs,
+//! spelled out in the `accel` module docs: a node's parent is the
+//! smallest-id node one level closer to the source with a usable arc
+//! into it, joined by that node's first usable channel to it in
+//! adjacency order. The trees apply the rule by expanding levels in
+//! ascending id; the point-to-point search applies it while rebuilding.
+//! The channels a goal-directed search prices are also a sufficient
+//! dependency footprint: every out-edge of every expanded node is
+//! priced, and the two expanded balls cover every path no longer than
+//! the answer.
 //!
 //! # Examples
 //!
@@ -144,7 +133,7 @@ mod yen;
 
 pub use accel::{
     edge_disjoint_shortest_paths_accel_in, k_shortest_paths_accel_in, shortest_path_accel_in,
-    shortest_path_bidir_in, shortest_path_two_trees_in, AccelBounds, LandmarkTable,
+    shortest_path_two_trees_in, LandmarkTable,
 };
 pub use bfs::{bfs_hops, connected_components, is_connected};
 pub use dijkstra::{

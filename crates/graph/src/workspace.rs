@@ -136,17 +136,21 @@ impl SearchWorkspace {
         SearchWorkspace::default()
     }
 
-    /// Monotone count of nodes settled (non-stale priority-queue pops)
-    /// by every Dijkstra-family search run on this workspace — plain,
-    /// tree, and goal-directed alike. The per-run difference is the
-    /// planner-observability counter `RunStats::nodes_settled`.
+    /// Monotone count of nodes settled by every Dijkstra-family search
+    /// run on this workspace. A plain search settles a node at its
+    /// non-stale priority-queue pop; a goal-directed BFS counts each node
+    /// whose adjacency it expanded (either side of a point-to-point
+    /// search, its restricted forward sweep, or a tree level). The
+    /// per-run difference is the planner-observability counter
+    /// `RunStats::nodes_settled`.
     pub fn nodes_settled(&self) -> u64 {
         self.dijkstra.settled + self.accel.settled
     }
 
-    /// Rebuilds the workspace's ALT [`LandmarkTable`] iff its epoch no
+    /// Rebuilds the workspace's [`LandmarkTable`] iff its epoch no
     /// longer matches `g` (see [`LandmarkTable::ensure_fresh`]). Cheap
-    /// when fresh: two integer compares, no allocation.
+    /// when fresh: two integer compares, no allocation. No search reads
+    /// the table.
     pub fn prepare_landmarks(&mut self, g: &Graph) {
         self.landmarks.ensure_fresh(g);
     }
@@ -198,10 +202,11 @@ mod tests {
         assert!(m.channel_banned(c(2)) && !m.channel_banned(c(1)));
     }
 
-    /// A warm workspace whose ban mask was sized (and stamped) by
-    /// searches on a larger graph must return, on a smaller graph, the
-    /// same EDW, EDS and KSP paths — plain and goal-directed — as a cold
-    /// workspace, and the same again back on the larger graph.
+    /// A warm workspace whose ban mask and goal-directed level labels
+    /// were sized (and stamped) by searches on a larger graph must
+    /// return, on a smaller graph, the same EDW, EDS and KSP paths —
+    /// plain and goal-directed — as a cold workspace, and the same again
+    /// back on the larger graph.
     #[test]
     fn warm_ban_mask_matches_cold_across_graph_sizes() {
         use rand::rngs::StdRng;
@@ -214,38 +219,19 @@ mod tests {
             (&small, "smaller"),
             (&big, "larger again"),
         ] {
-            warm.prepare_landmarks(g);
             let nn = g.node_count();
             let width = |e: crate::EdgeRef| Some(1.0 + (e.id.index() % 7) as f64);
             let cost = |e: crate::EdgeRef| width(e).map(|_| 1.0);
             for i in 0..nn {
                 let (from, to) = (NodeId::from_index(i), NodeId::from_index((i * 5 + 3) % nn));
                 let mut cold = SearchWorkspace::new();
-                cold.prepare_landmarks(g);
                 let run = |ws: &mut SearchWorkspace| {
                     (
                         crate::edge_disjoint_widest_paths_in(g, ws, from, to, 4, width),
                         crate::edge_disjoint_shortest_paths_in(g, ws, from, to, 4, cost),
                         k_shortest_paths_in(g, ws, from, to, 4, cost),
-                        crate::edge_disjoint_shortest_paths_accel_in(
-                            g,
-                            ws,
-                            from,
-                            to,
-                            4,
-                            cost,
-                            crate::AccelBounds::Full,
-                        ),
-                        crate::k_shortest_paths_accel_in(
-                            g,
-                            ws,
-                            from,
-                            to,
-                            4,
-                            cost,
-                            |_| false,
-                            crate::AccelBounds::Full,
-                        ),
+                        crate::edge_disjoint_shortest_paths_accel_in(g, ws, from, to, 4, cost),
+                        crate::k_shortest_paths_accel_in(g, ws, from, to, 4, cost, |_| false),
                     )
                 };
                 assert_eq!(
@@ -284,18 +270,10 @@ mod tests {
                 "shortest_path_in diverged: {label}"
             );
             assert_eq!(
-                crate::shortest_path_bidir_in(g, warm, from, to, cost),
+                crate::shortest_path_accel_in(g, warm, from, to, cost),
                 g.shortest_path_in(&mut cold, from, to, cost),
-                "shortest_path_bidir_in diverged: {label}"
+                "shortest_path_accel_in diverged: {label}"
             );
-            warm.prepare_landmarks(g);
-            for bounds in [crate::AccelBounds::Full, crate::AccelBounds::TopologyOnly] {
-                assert_eq!(
-                    crate::shortest_path_accel_in(g, warm, from, to, cost, bounds),
-                    g.shortest_path_in(&mut cold, from, to, cost),
-                    "shortest_path_accel_in diverged: {label} {bounds:?}"
-                );
-            }
             let width = |e: crate::EdgeRef| Some(1.0 + e.id.index() as f64);
             let warm_w = widest_path_in(g, warm, from, to, width);
             let cold_w = widest_path_in(g, &mut cold, from, to, width);

@@ -5,8 +5,7 @@ use core::cell::RefCell;
 use pcn_graph::{
     edge_disjoint_shortest_paths_accel_in, edge_disjoint_shortest_paths_in,
     edge_disjoint_widest_paths_in, k_shortest_paths_accel_in, k_shortest_paths_in,
-    k_shortest_paths_until_in, widest_path_in, AccelBounds, EdgeRef, Footprint, Graph, Path,
-    SearchWorkspace,
+    k_shortest_paths_until_in, widest_path_in, EdgeRef, Footprint, Graph, Path, SearchWorkspace,
 };
 use pcn_types::{Amount, NodeId};
 
@@ -64,7 +63,7 @@ pub enum BalanceView {
 /// `min_width` are filtered out for the width-based strategies.
 ///
 /// `accel` routes the unit-cost searches (KSP/EDS/Heuristic) through the
-/// goal-directed variants ([`pcn_graph::shortest_path_accel_in`]);
+/// goal-directed bidirectional BFS ([`pcn_graph::shortest_path_accel_in`]);
 /// results are bit-identical either way.
 #[allow(clippy::too_many_arguments)] // the routing tuple is the paper's Table II axes
 pub fn select_paths(
@@ -133,12 +132,13 @@ pub fn select_paths_in(
 /// scoped-invalidation contract the path cache relies on. Path results
 /// are bit-identical to [`select_paths_in`].
 ///
-/// Sufficiency is preserved by running under the footprint scope:
-/// goal-directed searches prune with funds-independent bounds only
-/// ([`AccelBounds::TopologyOnly`] — the backward probe ball would hide
-/// channels a later funds move can flip), and the Heuristic candidate
-/// pool never stops early (the early exit skips candidates whose
-/// channels a funds increase could promote into the top k).
+/// Goal-directed searches keep the footprint sufficient as they are:
+/// each prices every out-edge of every node it expands, and its two
+/// expanded balls cover every path no longer than its answer (see the
+/// `pcn-graph` accel module docs). The footprint scope only changes the
+/// Heuristic: its candidate pool never stops early, because the early
+/// exit skips candidates whose channels a funds increase could promote
+/// into the top k.
 #[allow(clippy::too_many_arguments)] // the routing tuple is the paper's Table II axes
 pub fn select_paths_footprint(
     g: &Graph,
@@ -184,13 +184,10 @@ fn funds_width(funds: &NetworkFunds, view: BalanceView, e: EdgeRef) -> Option<f6
 
 /// Whether the computation records a channel dependency footprint.
 ///
-/// Scoped computations restrict themselves to **funds-independent
-/// pruning** so that every channel whose funds state can influence the
-/// result is consulted (and therefore recorded): goal-directed searches
-/// run [`AccelBounds::TopologyOnly`] (the backward probe ball prices
-/// edges under the current funds configuration and would prune nodes
-/// whose channels a later funds move can flip), and the Heuristic pool
-/// never stops early. Results are bit-identical in both scopes.
+/// A scoped computation must consult (and so record) every channel
+/// whose funds state can influence the result, so the Heuristic pool
+/// never stops early under it. Results are bit-identical in both
+/// scopes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Scope {
     Plain,
@@ -216,38 +213,17 @@ where
     W: FnMut(EdgeRef) -> Option<f64>,
 {
     let min_w = min_width.to_tokens_f64();
-    let bounds = match scope {
-        Scope::Plain => AccelBounds::Full,
-        Scope::Footprint => AccelBounds::TopologyOnly,
-    };
     match strategy {
         PathSelect::Ksp => {
             if accel {
-                k_shortest_paths_accel_in(
-                    g,
-                    ws,
-                    src,
-                    dst,
-                    k,
-                    |e| width(e).map(|_| 1.0),
-                    |_| false,
-                    bounds,
-                )
+                k_shortest_paths_accel_in(g, ws, src, dst, k, |e| width(e).map(|_| 1.0), |_| false)
             } else {
                 k_shortest_paths_in(g, ws, src, dst, k, |e| width(e).map(|_| 1.0))
             }
         }
         PathSelect::Eds => {
             if accel {
-                edge_disjoint_shortest_paths_accel_in(
-                    g,
-                    ws,
-                    src,
-                    dst,
-                    k,
-                    |e| width(e).map(|_| 1.0),
-                    bounds,
-                )
+                edge_disjoint_shortest_paths_accel_in(g, ws, src, dst, k, |e| width(e).map(|_| 1.0))
             } else {
                 edge_disjoint_shortest_paths_in(g, ws, src, dst, k, |e| width(e).map(|_| 1.0))
             }
@@ -291,7 +267,7 @@ where
             };
             let cost = |e: EdgeRef| (width.borrow_mut())(e).map(|_| 1.0);
             let pool = if accel {
-                k_shortest_paths_accel_in(g, ws, src, dst, 3 * k, cost, until, bounds)
+                k_shortest_paths_accel_in(g, ws, src, dst, 3 * k, cost, until)
             } else {
                 k_shortest_paths_until_in(g, ws, src, dst, 3 * k, cost, until)
             };
@@ -481,7 +457,6 @@ mod tests {
             .flat_map(|s| [(s, false), (s, true)])
         {
             let mut ws = pcn_graph::SearchWorkspace::new();
-            ws.prepare_landmarks(&g);
             let plain = select_paths_in(
                 &g,
                 &mut ws,
@@ -495,7 +470,6 @@ mod tests {
                 accel,
             );
             let mut ws2 = pcn_graph::SearchWorkspace::new();
-            ws2.prepare_landmarks(&g);
             let tracked = select_paths_footprint(
                 &g,
                 &mut ws2,
@@ -603,9 +577,6 @@ mod tests {
         let baseline: Vec<Path> = scored.into_iter().take(k).map(|(_, p)| p).collect();
         for accel in [false, true] {
             let mut ws = SearchWorkspace::new();
-            ws.prepare_landmarks(&g);
-            let warmup = ws.nodes_settled();
-            let _ = warmup;
             let before = ws.nodes_settled();
             let picked = select_paths_in(
                 &g,
@@ -630,11 +601,12 @@ mod tests {
     /// The scoped-invalidation contract itself: funds movement confined
     /// to channels **outside** the recorded footprint must leave the
     /// selection bit-identical — including funding previously-unusable
-    /// channels, the direction the goal-directed pruning could hide.
-    /// With backward-ball pruning (or the Heuristic early exit) active
-    /// under a footprint, a pruned node's unfunded out-channel would be
-    /// missing from the footprint, and funding it could change a fresh
-    /// recomputation while the stale scoped entry survives.
+    /// channels, the direction a search that stops early could hide. If
+    /// a goal-directed search left an arc of an expanded node unpriced
+    /// (or the Heuristic exited early under a footprint), that unfunded
+    /// channel would be missing from the footprint, and funding it could
+    /// change a fresh recomputation while the stale scoped entry
+    /// survives.
     #[test]
     fn footprint_survives_funds_movement_outside_it() {
         use rand::rngs::StdRng;
@@ -672,7 +644,6 @@ mod tests {
             for strategy in PathSelect::ALL {
                 for accel in [false, true] {
                     let mut ws = SearchWorkspace::new();
-                    ws.prepare_landmarks(&g);
                     let mut fp = pcn_graph::Footprint::new();
                     let tracked = select_paths_footprint(
                         &g,
@@ -717,6 +688,74 @@ mod tests {
         }
     }
 
+    /// The hand-built world of `pcn-graph`'s
+    /// `funds_flip_on_an_unpriced_channel_keeps_the_path`: the
+    /// goal-directed search meets the target's side while expanding node
+    /// 2, and must still expand node 1, whose unfunded channel 1-3 would
+    /// open a tie that wins on ids. Funding or draining any channel
+    /// outside the footprint must leave the selection where a fresh
+    /// plain computation finds it.
+    #[test]
+    fn goal_directed_footprint_survives_a_flip_outside_it() {
+        let mut g = Graph::new(8);
+        for (a, b) in [
+            (0, 2),
+            (0, 1),
+            (2, 4),
+            (4, 5),
+            (1, 3),
+            (3, 5),
+            (3, 6),
+            (6, 7),
+        ] {
+            g.add_edge(n(a), n(b));
+        }
+        let base = |c: usize| if c == 4 || c == 7 { 0 } else { 10 };
+        let funds_with = |flip: Option<usize>| {
+            NetworkFunds::from_graph(&g, |id, _| {
+                let t = base(id.index());
+                Amount::from_tokens(if flip == Some(id.index()) { 10 - t } else { t })
+            })
+        };
+        let select = |funds: &NetworkFunds, strategy, accel, fp: Option<&mut Footprint>| {
+            let mut ws = SearchWorkspace::new();
+            let args = (
+                n(0),
+                n(5),
+                1,
+                strategy,
+                BalanceView::Live,
+                Amount::from_tokens(1),
+            );
+            match fp {
+                Some(fp) => select_paths_footprint(
+                    &g, &mut ws, funds, args.0, args.1, args.2, args.3, args.4, args.5, accel, fp,
+                ),
+                None => select_paths_in(
+                    &g, &mut ws, funds, args.0, args.1, args.2, args.3, args.4, args.5, accel,
+                ),
+            }
+        };
+        for strategy in [PathSelect::Ksp, PathSelect::Eds, PathSelect::Heuristic] {
+            let mut fp = Footprint::new();
+            let tracked = select(&funds_with(None), strategy, true, Some(&mut fp));
+            assert_eq!(
+                tracked[0].nodes(),
+                &[n(0), n(2), n(4), n(5)],
+                "{strategy:?}"
+            );
+            assert!(fp.contains(pcn_types::ChannelId::new(4)), "{strategy:?}");
+            let outside: Vec<usize> = (0..g.edge_count())
+                .filter(|&c| !fp.contains(pcn_types::ChannelId::from_index(c)))
+                .collect();
+            assert!(!outside.is_empty(), "{strategy:?} priced every channel");
+            for c in outside {
+                let fresh = select(&funds_with(Some(c)), strategy, false, None);
+                assert_eq!(tracked, fresh, "{strategy:?}: flipping channel {c}");
+            }
+        }
+    }
+
     /// Under a footprint the Heuristic generates the full 3·k pool: the
     /// skipped candidates' channels must be recorded, because a funds
     /// increase on one of them can lift its bottleneck above the old
@@ -743,7 +782,6 @@ mod tests {
         let k = 2;
         for accel in [false, true] {
             let mut ws = SearchWorkspace::new();
-            ws.prepare_landmarks(&g);
             let plain = select_paths_in(
                 &g,
                 &mut ws,
@@ -757,7 +795,6 @@ mod tests {
                 accel,
             );
             let mut ws2 = SearchWorkspace::new();
-            ws2.prepare_landmarks(&g);
             let mut fp = pcn_graph::Footprint::new();
             let tracked = select_paths_footprint(
                 &g,

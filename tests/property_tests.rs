@@ -216,31 +216,44 @@ proptest! {
         prop_assert_eq!(gf.paths.len(), rf.paths.len());
     }
 
-    /// The goal-directed searches (bidirectional Dijkstra and the ALT
-    /// landmark A*) stay bit-identical to the plain search — cost, node
+    /// The goal-directed search (bidirectional BFS under the unit-cost
+    /// contract) stays bit-identical to the plain search — cost, node
     /// sequence and channel sequence — under arbitrary interleavings of
     /// channel opens, closes, reopens and explicit CSR compactions, with
-    /// one long-lived workspace whose landmark table rebuilds across the
-    /// topology-epoch crossings. The `Vec<Vec>` [`ReferenceGraph`] rides
-    /// along as an independent distance oracle.
+    /// one long-lived workspace, random one-way arcs and random node and
+    /// channel bans. The `Vec<Vec>` [`ReferenceGraph`] rides along as an
+    /// independent oracle: for the plain search under weighted costs,
+    /// and for both searches under the unit costs.
     #[test]
     fn accelerated_search_matches_reference(
         n in 3usize..16,
         edges in prop::collection::vec((0u32..16, 0u32..16), 1..40),
         ops in prop::collection::vec((0u8..4, 0u32..64), 0..60),
-        pairs in prop::collection::vec((0u32..16, 0u32..16), 1..8),
+        queries in (
+            prop::collection::vec((0u32..16, 0u32..16), 1..8),
+            prop::collection::vec(0u8..8, 80..81),
+        ),
     ) {
-        use pcn_graph::{
-            shortest_path, shortest_path_accel_in, shortest_path_bidir_in, AccelBounds,
-            ReferenceGraph, SearchWorkspace,
-        };
+        use pcn_graph::{shortest_path, shortest_path_accel_in, EdgeRef, ReferenceGraph, SearchWorkspace};
         use pcn_types::ChannelId;
+        let (pairs, states) = queries;
         let mut g = Graph::new(n);
         let mut r = ReferenceGraph::new(n);
         let mut ws = SearchWorkspace::new();
-        // Unit-or-larger costs: the regime the routing layer prices its
-        // accelerable searches in, and what keeps the ALT bound admissible.
-        let cost = |e: pcn_graph::EdgeRef| Some(1.0 + (e.id.index() % 7) as f64);
+        let cost = |e: EdgeRef| Some(1.0 + (e.id.index() % 7) as f64);
+        // Unit costs. `states[c % 64]` makes channel `c` banned, usable
+        // only from the smaller id, only from the larger id, or both
+        // ways; `states[64 + v] == 0` bans node `v`.
+        let unit = |e: EdgeRef| {
+            let node_ok = states[64 + e.from.index()] != 0 && states[64 + e.to.index()] != 0;
+            let arc_ok = match states[e.id.index() % 64] {
+                0 => false,
+                1 => e.from < e.to,
+                2 => e.from > e.to,
+                _ => true,
+            };
+            (node_ok && arc_ok).then_some(1.0)
+        };
         for (a, b) in edges {
             let (a, b) = (a as usize % n, b as usize % n);
             if a != b {
@@ -248,8 +261,8 @@ proptest! {
                 prop_assert_eq!(g.add_edge(a, b), r.add_edge(a, b));
             }
         }
-        // Interleave churn with query rounds so the same workspace (and
-        // the same landmark table) crosses several epoch rebuilds.
+        // Interleave churn with query rounds so the same workspace
+        // crosses several topology epochs and compactions.
         for chunk in std::iter::once(&[][..]).chain(ops.chunks(10)) {
             for &(op, x) in chunk {
                 match op {
@@ -273,20 +286,19 @@ proptest! {
                     _ => g.compact(), // reference is always "compact"
                 }
             }
-            ws.prepare_landmarks(&g);
             for &(ps, pt) in &pairs {
                 let s = NodeId::from_index(ps as usize % n);
                 let t = NodeId::from_index(pt as usize % n);
                 let oracle = shortest_path(&r, s, t, cost);
                 let plain = g.shortest_path_in(&mut ws, s, t, cost);
-                let bidir = shortest_path_bidir_in(&g, &mut ws, s, t, cost);
-                let accel = shortest_path_accel_in(&g, &mut ws, s, t, cost, AccelBounds::Full);
-                let topo =
-                    shortest_path_accel_in(&g, &mut ws, s, t, cost, AccelBounds::TopologyOnly);
                 prop_assert_eq!(&plain, &oracle, "plain search diverged from the oracle");
-                prop_assert_eq!(&bidir, &plain, "bidirectional search diverged");
-                prop_assert_eq!(&accel, &plain, "ALT-accelerated search diverged");
-                prop_assert_eq!(&topo, &plain, "topology-only accelerated search diverged");
+                let unit_oracle = shortest_path(&r, s, t, unit);
+                let unit_plain = g.shortest_path_in(&mut ws, s, t, unit);
+                let accel = shortest_path_accel_in(&g, &mut ws, s, t, unit);
+                let accel_ref = shortest_path_accel_in(&r, &mut ws, s, t, unit);
+                prop_assert_eq!(&unit_plain, &unit_oracle, "unit-cost plain search diverged");
+                prop_assert_eq!(&accel, &unit_plain, "goal-directed search diverged");
+                prop_assert_eq!(&accel_ref, &unit_plain, "goal-directed search on the reference diverged");
             }
         }
     }
