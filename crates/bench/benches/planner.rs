@@ -7,11 +7,11 @@
 //! * `plan_p2p_plain` / `plan_p2p_goal_directed` — warm point-to-point
 //!   EDS plan selection (`select_paths_in`, k = 4, capacity view), the
 //!   shape Direct-routing schemes run per payment. Goal-directed runs
-//!   the bidirectional + ALT landmark search inside every Dijkstra.
+//!   the unit-cost bidirectional BFS in place of every Dijkstra.
 //! * `hub_legs_per_pair` / `hub_legs_batched_trees` — the Landmark
-//!   scheme's hub-leg planning: 2·k single-pair searches versus one
-//!   source tree plus one destination tree with per-landmark readoffs
-//!   (`shortest_path_two_trees_in`).
+//!   scheme's hub-leg planning: 2·k single-pair Dijkstra searches versus
+//!   one BFS tree from the source plus one from the destination with
+//!   per-landmark readoffs (`shortest_path_two_trees_in`).
 //!
 //! Two more rows time the source-routing baselines' planner kernels on
 //! the e2ebench `fig8_large` world: `ScenarioParams::large()` (WS(3 000,
@@ -25,7 +25,7 @@
 //!   view, no goal-directed search (the layer row behind e2ebench's
 //!   `planner.query_us.spider`);
 //! * `ksp_accel_3000n_k4` — Flash's mice pool: Yen KSP, k = 4,
-//!   capacity view, goal-directed with the ALT landmark table.
+//!   capacity view, every spur search a goal-directed bidirectional BFS.
 //!
 //! Divide a row's median by the `fig8_pairs` metadata for the time per
 //! plan.
@@ -35,7 +35,8 @@
 //! bars assert in every run, `--quick` CI smoke included:
 //!
 //! * goal-directed warm plan latency ≥ 1.5× faster than plain;
-//! * goal-directed settles ≤ half the plain search's settled nodes;
+//! * goal-directed settles ≤ half the plain search's settled nodes (a
+//!   BFS settles each node whose adjacency it expands);
 //! * batched hub-leg trees ≥ 1.5× faster than the per-pair baseline.
 //!
 //! The committed `BENCH_planner.json` baseline records the measured
@@ -169,7 +170,6 @@ fn hub_legs_batched(
 fn bench_planner(c: &mut Criterion) {
     let (g, funds, pairs) = world();
     let mut ws = SearchWorkspace::new();
-    ws.prepare_landmarks(&g);
     let landmarks: Vec<NodeId> = (0..NUM_LANDMARKS)
         .map(|i| NodeId::from_index((i * 12_347 + 5) % NODES))
         .collect();
@@ -309,7 +309,6 @@ fn bench_planner(c: &mut Criterion) {
     assert!(engine.use_goal_directed);
     let (flat, fig8_pairs) = fig8_world();
     let mut fig8_ws = SearchWorkspace::new();
-    fig8_ws.prepare_landmarks(&flat.graph);
     let mut plan_all = |select: PathSelect, accel: bool| {
         for &(src, dst) in &fig8_pairs {
             black_box(select_paths_in(

@@ -20,7 +20,8 @@ pub struct RunTuning {
     /// determinism regression.
     pub path_cache: Option<bool>,
     /// Goal-directed planning toggle (None = engine default, on).
-    /// Bidirectional + ALT landmark searches and batched hub-leg trees;
+    /// Bidirectional BFS for the unit-cost searches and batched BFS
+    /// hub-leg trees;
     /// semantics-preserving either way modulo the planner-observability
     /// counters (`RunStats::without_planner_counters`). Used for the
     /// determinism regression and planner A/B cells.

@@ -481,10 +481,10 @@ impl<'a> FileAnalysis<'a> {
                     triggers_method: &[],
                     satisfiers: &["bump", "compact", "maybe_compact"],
                 }),
-                // The ALT landmark table caches per-landmark hop rows; a
-                // rebuild that does not key the new rows to the graph's
-                // topology epoch would serve stale lower bounds to later
-                // searches — the same contract as the routing path cache.
+                // The landmark table is keyed to the graph's topology
+                // epoch, the same contract as the routing path cache: a
+                // rebuild that rewrites the landmark set must record the
+                // epoch it was built for.
                 Some("LandmarkTable") => Some(EpochGuard {
                     target: "LandmarkTable",
                     state: "landmark-row",

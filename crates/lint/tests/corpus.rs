@@ -62,9 +62,9 @@ fn r3_fires_on_unbumped_state_writes() {
 
 #[test]
 fn r3_covers_landmark_table_rebuilds() {
-    // The ALT landmark table's rebuild path is held to the same epoch
-    // discipline as NetworkFunds and Graph: rewriting the hop rows
-    // without keying them to a topology epoch is a finding.
+    // The landmark table's rebuild path is held to the same epoch
+    // discipline as NetworkFunds and Graph: rewriting the landmark set
+    // without keying it to a topology epoch is a finding.
     let f = lint_fixture("r3_landmarks.rs");
     assert_eq!(count(&f, Rule::EpochBump), 1, "{f:#?}");
     assert_eq!(f.len(), 1, "{f:#?}");

@@ -57,12 +57,6 @@ fn no_paths() -> Arc<[Path]> {
 /// capacity-only views through a topology-stamped entry, and with
 /// caching off the query computes directly. Shared by the `Direct` plan
 /// and the inter-hub middle leg.
-///
-/// On the footprint-scoped path, goal-directed searches run with
-/// funds-independent (`TopologyOnly`) pruning only — the backward-probe
-/// ball is priced under the current funds and could hide channels a
-/// later funds move can flip, under-recording the dependency set (see
-/// the `pcn_graph` accel module docs). Results stay bit-identical.
 #[allow(clippy::too_many_arguments)] // the routing tuple is the paper's Table II axes
 fn cached_select(
     cache: &mut PathCache,
@@ -100,10 +94,11 @@ fn cached_select(
     }
 }
 
-/// Whether a scheme's shared-plan computation runs unit-cost searches
-/// that can consult the ALT landmark table (and therefore whether the
-/// table is kept fresh for its runs at all).
-fn uses_alt(scheme: &crate::scheme::SchemeConfig) -> bool {
+/// Whether a scheme's shared-plan computation runs goal-directed
+/// point-to-point searches, and therefore whether the workspace's
+/// landmark table is kept fresh for its runs (no search reads the
+/// table; its rebuilds feed `landmark_rebuilds`).
+fn refreshes_landmarks(scheme: &crate::scheme::SchemeConfig) -> bool {
     match &scheme.route_via {
         RouteVia::Direct | RouteVia::Hubs { .. } => matches!(
             scheme.path_select,
@@ -247,7 +242,7 @@ impl Engine {
         if accel {
             self.stats.goal_directed_plans += 1;
         }
-        if self.cfg.use_goal_directed && uses_alt(&self.scheme) {
+        if self.cfg.use_goal_directed && refreshes_landmarks(&self.scheme) {
             // Per plan, not per cache miss: `landmark_rebuilds` stays the
             // same cached or uncached.
             self.workspace.prepare_landmarks(&self.graph);

@@ -141,11 +141,13 @@ pub struct EngineConfig {
     /// [`crate::cache::DEFAULT_CAPACITY`] weight units of plans, an
     /// uncached run recomputes every plan.
     pub use_path_cache: bool,
-    /// Plan with goal-directed searches: bidirectional Dijkstra with
-    /// ALT landmark lower bounds for point-to-point selection, and
-    /// batched two-tree hub-leg planning for the landmark scheme. The
-    /// accelerated searches are bit-identical to the plain ones (the
-    /// `pcn-graph` tie-break canon), so this toggle is
+    /// Plan the unit-cost searches goal-directed: a bidirectional BFS
+    /// inside every KSP, EDS and Heuristic pool search (Flash's mice
+    /// pools included), and two batched BFS trees for the landmark
+    /// scheme's hub legs. Off, the same searches run as plain Dijkstra,
+    /// the reference. The goal-directed searches return bit-identical
+    /// paths (they apply plain Dijkstra's parent rule, see the
+    /// `pcn-graph` accel module docs), so this toggle is
     /// semantics-preserving modulo the planner-observability counters
     /// (`RunStats::without_planner_counters`); it exists for A/B runs
     /// and the determinism regression.

@@ -415,8 +415,8 @@ fn hot_loop_steady_state_is_allocation_free() {
 fn steady_state_stays_allocation_free_with_goal_directed_planner() {
     // The same saturated-line measurement with a scheme that routes its
     // plans through the goal-directed accelerator (Direct + EDS:
-    // bidirectional + ALT searches over a live landmark table). Warmup
-    // builds the table and grows the accel scratch; the measured window
+    // bidirectional BFS searches, with the landmark table kept fresh).
+    // Warmup builds the table and grows the accel scratch; the measured window
     // must then allocate nothing — the accelerator adds no steady-state
     // allocation sites.
     let mut g = Graph::new(4);

@@ -90,16 +90,19 @@ pub struct RunStats {
     /// one run; it legitimately differs across the toggle itself, which
     /// is what [`RunStats::without_planner_counters`] is for.
     pub goal_directed_plans: u64,
-    /// ALT landmark-table rebuilds (lazy, on topology-epoch mismatch).
+    /// Landmark-table rebuilds (lazy, on topology-epoch mismatch).
     /// Semantic across cache and worker configurations: freshness is
     /// checked per plan whether or not the cache then absorbs the
     /// searches. Zero when goal-directed planning is off or the scheme
-    /// never consults the table.
+    /// runs no unit-cost KSP/EDS/Heuristic or Flash-mice searches. No
+    /// search reads the table.
     pub landmark_rebuilds: u64,
-    /// Nodes settled (non-stale heap pops) by every Dijkstra-family
-    /// search the planner ran — plain, tree-building and goal-directed
-    /// alike (widest-path and max-flow searches are not counted).
-    /// Diagnostic like the cache counters: a cache hit skips its
+    /// Nodes settled by every Dijkstra-family search the planner ran
+    /// (widest-path and max-flow searches are not counted). A plain
+    /// search settles a node at its non-stale heap pop; a goal-directed
+    /// BFS counts each node whose adjacency it expanded: either side of
+    /// a point-to-point search, its restricted forward sweep, or a tree
+    /// level. Diagnostic like the cache counters: a cache hit skips its
     /// searches entirely, so cached and uncached runs differ here.
     pub nodes_settled: u64,
     /// Path-cache counters (hits/misses/invalidations/evictions).

@@ -360,7 +360,7 @@ fn dynamic_world_grid_is_bit_identical_across_worker_counts() {
 fn goal_directed_is_semantics_preserving() {
     // The acceptance bar for goal-directed planning: flipping
     // `use_goal_directed` changes how plans are computed (bidirectional
-    // Dijkstra with ALT landmark bounds, batched two-tree hub legs) but
+    // BFS for the unit-cost searches, batched two-tree hub legs) but
     // not a single planned path. For all six schemes, cached and
     // uncached, a goal-directed run is bit-identical to a plain-search
     // run modulo the diagnostic cache counters and the
@@ -430,8 +430,8 @@ fn goal_directed_is_semantics_preserving() {
         }
     }
     // And the toggle survives a moving topology: the PR-5 mixed dynamic
-    // timeline forces landmark-table rebuilds mid-run for an ALT-using
-    // scheme, and the runs still agree.
+    // timeline forces landmark-table rebuilds mid-run for a scheme that
+    // keeps the table fresh, and the runs still agree.
     for scheme in [SchemeChoice::ShortestPath, SchemeChoice::Landmark] {
         let spec = dynamic_spec(scheme);
         let with = |tuning: RunTuning| run_spec_tuned(&spec, &tuning, &SchemeTuning::default());
