@@ -15,11 +15,11 @@
 //!
 //! # Same paths as plain Dijkstra
 //!
-//! Every entry point returns the path plain
-//! [`crate::dijkstra::shortest_path_in`] returns, bit for bit: same
-//! cost, nodes and channels. The routing layer can therefore switch
-//! goal-directed search per run without changing a single plan. The
-//! identity rests on one rule, which every edit here must keep.
+//! Every entry point returns the path plain [`crate::shortest_path_in`]
+//! returns, bit for bit: same cost, nodes and channels. The routing
+//! layer can therefore switch goal-directed search per run without
+//! changing a single plan. The identity rests on one rule, which every
+//! edit here must keep.
 //!
 //! Plain Dijkstra pops `(dist, node id)` min-first and overwrites a
 //! parent only on a strict improvement. Under unit costs it pops every

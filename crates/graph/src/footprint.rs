@@ -5,9 +5,11 @@
 //! *footprint* — is exactly what the computation's result can depend on
 //! beyond topology: the searches in this crate only consult edge state
 //! through their closure, and every edge whose state could have altered
-//! the outcome is consulted (an edge that was never queried hangs off a
-//! node the search never reached, and reachability is decided purely by
-//! queried edges). A caller that wraps its closure in
+//! the outcome is consulted (in the plain searches an edge that was
+//! never queried hangs off a node the search never reached, and
+//! reachability is decided purely by queried edges; the goal-directed
+//! BFS carries its own argument in the `accel` module docs). A caller
+//! that wraps its closure in
 //! [`Footprint::record`] therefore obtains a sound invalidation scope:
 //! as long as the topology and every footprint channel are unchanged,
 //! rerunning the search returns a bit-identical result.
