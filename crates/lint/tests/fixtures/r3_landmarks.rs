@@ -1,4 +1,4 @@
-//! R3 fixture: epoch discipline on the ALT LandmarkTable rebuild path.
+//! R3 fixture: epoch discipline on the LandmarkTable rebuild path.
 //! Not compiled — lexed by `tests/corpus.rs` under a semantic-crate path.
 
 impl LandmarkTable {
