@@ -68,15 +68,16 @@
 //! A caller that records a channel footprint (see [`crate::Footprint`])
 //! needs the result to survive any funds move confined to channels the
 //! search never priced. One search is enough for that. Take any path `P`
-//! of length `L ≤ D` after such a move and walk it from the source. Each
-//! of its first `r_f` nodes sits at forward level at most its position,
-//! so it was expanded and all its out-arcs were priced. Those arcs are
-//! unchanged, so the walk stays within the labelled levels. Likewise the
-//! backward side priced `P`'s last `r_b` arcs. Since `L ≤ r_f + r_b`,
-//! the two stretches cover `P`: every arc of `P` was priced, is
-//! unchanged, and `P` was usable before the move too. The same holds the
-//! other way round, so the paths of length at most `D` are the same
-//! before and after. That fixes the distance, the levels of every
+//! of length `L ≤ D` after such a move and walk it from the source. By
+//! induction each of its first `r_f` nodes sits at a forward level no
+//! greater than its position: it was therefore expanded, all its
+//! out-arcs were priced, and the arc `P` leaves it by is unchanged and
+//! was usable before the move, which carries the bound to the next
+//! node. Likewise the backward side priced `P`'s last `r_b` arcs. Since
+//! `L ≤ r_f + r_b`, the two stretches cover `P`: every arc of `P` was
+//! priced, is unchanged, and `P` was usable before the move too. The
+//! same holds the other way round, so the paths of length at most `D`
+//! are the same before and after. That fixes the distance, the levels of every
 //! shortest-path node and the usable arcs between them, which is all the
 //! rebuild reads. An unreachable answer is sound as well: the side whose
 //! frontier ran empty expanded everything it can reach and priced every
