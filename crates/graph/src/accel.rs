@@ -623,6 +623,35 @@ mod tests {
         }
     }
 
+    /// Random weighted graphs priced the way the routing layer prices a
+    /// funded world: each direction of a channel holds a random balance,
+    /// and an arc costs 1 when it can carry the round's amount. The
+    /// weights decide usability only, so the unit-cost contract holds.
+    #[test]
+    fn bidir_matches_unidirectional_on_random_weighted_graphs() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut ws = SearchWorkspace::new();
+        for round in 0..60 {
+            let nn = rng.random_range(2..14);
+            let g = random_graph(&mut rng, nn, 0.4);
+            let balance: Vec<[u32; 2]> = (0..g.edge_count())
+                .map(|_| [rng.random_range(0..9), rng.random_range(0..9)])
+                .collect();
+            let amount = rng.random_range(1..9u32);
+            let cost = |e: EdgeRef| {
+                let side = usize::from(e.from > e.to);
+                (balance[e.id.index()][side] >= amount).then_some(1.0)
+            };
+            for from in g.nodes() {
+                for to in g.nodes() {
+                    let plain = g.shortest_path_in(&mut ws, from, to, cost);
+                    let accel = shortest_path_accel_in(&g, &mut ws, from, to, cost);
+                    assert_same(&plain, &accel, &format!("round {round} {from}->{to}"));
+                }
+            }
+        }
+    }
+
     /// A shortcut usable only towards the source: the backward side must
     /// price the reversed arc, not the arc it scans. The leaves on the
     /// source make the forward frontier the larger one, so the backward
@@ -772,6 +801,32 @@ mod tests {
         }
     }
 
+    /// Unit costs under a pseudo-random banned channel set, the shape of
+    /// Yen spur searches, with a fresh landmark table in the workspace.
+    /// The name is kept from the landmark-bounded search; no search
+    /// reads the table now, and preparing it must not change an answer.
+    #[test]
+    fn alt_accelerated_search_matches_plain_under_bans() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for round in 0..40 {
+            // One workspace per graph: the landmark table tracks a
+            // single graph's epoch stream.
+            let mut ws = SearchWorkspace::new();
+            let nn = rng.random_range(2..16);
+            let g = random_graph(&mut rng, nn, 0.35);
+            ws.prepare_landmarks(&g);
+            assert!(ws.landmarks.is_fresh(&g));
+            let from = n(0);
+            let to = NodeId::from_index(g.node_count() - 1);
+            let banned: Vec<bool> = (0..64).map(|i| (i * 7 + round) % 5 == 0).collect();
+            let cost =
+                |e: EdgeRef| (!banned.get(e.id.index()).copied().unwrap_or(false)).then_some(1.0);
+            let plain = g.shortest_path_in(&mut ws, from, to, cost);
+            let accel = shortest_path_accel_in(&g, &mut ws, from, to, cost);
+            assert_same(&plain, &accel, &format!("round {round}"));
+        }
+    }
+
     #[test]
     fn accel_search_survives_churn_and_epoch_rebuilds() {
         let mut rng = StdRng::seed_from_u64(37);
@@ -897,6 +952,51 @@ mod tests {
             let msg = panic.downcast_ref::<String>().expect("formatted message");
             assert!(msg.contains("require unit edge costs"), "{w}: {msg}");
         }
+    }
+
+    /// The contract is checked on every side that prices an arc. Here
+    /// the leaves on the source make the forward frontier the larger
+    /// one, so the backward side, which took the backward probe's place,
+    /// is the first to price the sub-unit arc 1→2 into the target.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "require unit edge costs")]
+    fn sub_unit_cost_trips_assert_in_backward_probe() {
+        let mut g = Graph::new(5);
+        g.add_edge(n(0), n(1));
+        g.add_edge(n(1), n(2));
+        g.add_edge(n(0), n(3));
+        g.add_edge(n(0), n(4));
+        let cost = |e: EdgeRef| {
+            Some(if e.from == n(1) && e.to == n(2) {
+                0.5
+            } else {
+                1.0
+            })
+        };
+        let mut ws = SearchWorkspace::new();
+        let _ = shortest_path_accel_in(&g, &mut ws, n(0), n(2), cost);
+    }
+
+    /// On a bare line the frontiers tie every round, so the forward
+    /// side, which took the A* phase's place, expands 1 and is the first
+    /// to price the sub-unit arc 1→2.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "require unit edge costs")]
+    fn sub_unit_cost_trips_assert_in_astar_phase() {
+        let mut g = Graph::new(3);
+        g.add_edge(n(0), n(1));
+        g.add_edge(n(1), n(2));
+        let cost = |e: EdgeRef| {
+            Some(if e.from == n(1) && e.to == n(2) {
+                0.5
+            } else {
+                1.0
+            })
+        };
+        let mut ws = SearchWorkspace::new();
+        let _ = shortest_path_accel_in(&g, &mut ws, n(0), n(2), cost);
     }
 
     #[test]
