@@ -13,7 +13,7 @@
 //!   one BFS tree from the source plus one from the destination with
 //!   per-landmark readoffs (`shortest_path_two_trees_in`).
 //!
-//! Two more rows time the source-routing baselines' planner kernels on
+//! Three more rows time the source-routing baselines' planner kernels on
 //! the e2ebench `fig8_large` world: `ScenarioParams::large()` (WS(3 000,
 //! 8) with the Lightning-shaped heavy-tailed channel funds), 30 s of
 //! payments at 60 tx/s, seed 1. One iteration plans every distinct
@@ -22,8 +22,12 @@
 //! miss makes in the engine:
 //!
 //! * `edw_capacity_3000n_k4` — Spider's plan: EDW, k = 4, capacity
-//!   view, no goal-directed search (the layer row behind e2ebench's
-//!   `planner.query_us.spider`);
+//!   view, which walks the funds' capacity order
+//!   (`edge_disjoint_widest_paths_static_in`; the layer row behind
+//!   e2ebench's `planner.query_us.spider`);
+//! * `edw_heap_capacity_3000n_k4` — the same plans through the heap
+//!   search (`edge_disjoint_widest_paths_in` with the capacity-view
+//!   width closure), which live-balance EDW still runs;
 //! * `ksp_accel_3000n_k4` — Flash's mice pool: Yen KSP, k = 4,
 //!   capacity view, every spur search a goal-directed bidirectional BFS.
 //!
@@ -37,13 +41,17 @@
 //! * goal-directed warm plan latency ≥ 1.5× faster than plain;
 //! * goal-directed settles ≤ half the plain search's settled nodes (a
 //!   BFS settles each node whose adjacency it expands);
-//! * batched hub-leg trees ≥ 1.5× faster than the per-pair baseline.
+//! * batched hub-leg trees ≥ 1.5× faster than the per-pair baseline;
+//! * on the Fig. 8 pairs, alternating plan by plan, the capacity-order
+//!   EDW walk returns the heap search's paths and is ≥ 1.5× faster.
 //!
 //! The committed `BENCH_planner.json` baseline records the measured
 //! numbers (full, non-quick run).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pcn_graph::{shortest_path_two_trees_in, Path, SearchWorkspace};
+use pcn_graph::{
+    edge_disjoint_widest_paths_in, shortest_path_two_trees_in, EdgeRef, Path, SearchWorkspace,
+};
 use pcn_routing::channel::NetworkFunds;
 use pcn_routing::paths::{select_paths_in, BalanceView, PathSelect};
 use pcn_routing::{EngineConfig, SchemeConfig};
@@ -309,6 +317,62 @@ fn bench_planner(c: &mut Criterion) {
     assert!(engine.use_goal_directed);
     let (flat, fig8_pairs) = fig8_world();
     let mut fig8_ws = SearchWorkspace::new();
+    let min_w = engine.min_tu.to_tokens_f64();
+    // `select_paths_in`'s capacity-view width, with EDW's `min_width`
+    // filter: the closure the heap search ran before the walk.
+    let capacity_width = |e: EdgeRef| {
+        let tokens = flat.funds.total(e.id).to_tokens_f64();
+        (tokens > 0.0 && tokens >= min_w).then_some(tokens)
+    };
+
+    // Walk vs heap, alternating which runs first plan by plan.
+    let (mut walk_ns, mut heap_ns) = (0u128, 0u128);
+    for (i, &(src, dst)) in fig8_pairs.iter().enumerate() {
+        let mut paths = [Vec::new(), Vec::new()];
+        for heap in [i % 2 == 0, i % 2 == 1] {
+            let t0 = Instant::now();
+            paths[usize::from(heap)] = if heap {
+                edge_disjoint_widest_paths_in(
+                    &flat.graph,
+                    &mut fig8_ws,
+                    src,
+                    dst,
+                    K,
+                    capacity_width,
+                )
+            } else {
+                select_paths_in(
+                    &flat.graph,
+                    &mut fig8_ws,
+                    &flat.funds,
+                    src,
+                    dst,
+                    K,
+                    PathSelect::Edw,
+                    BalanceView::CapacityOnly,
+                    engine.min_tu,
+                    false,
+                )
+            };
+            let ns = t0.elapsed().as_nanos();
+            if heap {
+                heap_ns += ns;
+            } else {
+                walk_ns += ns;
+            }
+        }
+        assert_eq!(
+            paths[0], paths[1],
+            "EDW walk and heap search differ on {src}->{dst}"
+        );
+    }
+    let edw_speedup = heap_ns as f64 / walk_ns as f64;
+    assert!(
+        edw_speedup >= 1.5,
+        "the capacity-order EDW walk must be ≥1.5× faster than the heap search \
+         (heap {heap_ns} ns vs walk {walk_ns} ns = {edw_speedup:.2}×)"
+    );
+    group.metadata("edw_walk_speedup_interleaved", format!("{edw_speedup:.2}"));
     let mut plan_all = |select: PathSelect, accel: bool| {
         for &(src, dst) in &fig8_pairs {
             black_box(select_paths_in(
@@ -336,6 +400,20 @@ fn bench_planner(c: &mut Criterion) {
     });
     group.bench_function(format!("ksp_accel_3000n_k{K}"), |b| {
         b.iter(|| plan_all(PathSelect::Ksp, true))
+    });
+    group.bench_function(format!("edw_heap_capacity_3000n_k{K}"), |b| {
+        b.iter(|| {
+            for &(src, dst) in &fig8_pairs {
+                black_box(edge_disjoint_widest_paths_in(
+                    &flat.graph,
+                    &mut fig8_ws,
+                    src,
+                    dst,
+                    K,
+                    capacity_width,
+                ));
+            }
+        })
     });
     group.finish();
 }

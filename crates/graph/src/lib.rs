@@ -93,6 +93,16 @@
 //! priced, and the two expanded balls cover every path no longer than
 //! the answer.
 //!
+//! # Static widths
+//!
+//! When every channel's width is fixed (the routing layer's capacity
+//! view reads channel totals, which never change), widest-path search
+//! needs no heap. [`WidthOrder`] keeps the channels sorted by width, and
+//! [`edge_disjoint_widest_paths_static_in`] walks them widest first and
+//! floods each width level breadth-first. Its paths are exactly those of
+//! [`edge_disjoint_widest_paths_in`] under the same widths; the
+//! `static_widest` module docs give the argument.
+//!
 //! # Examples
 //!
 //! ```
@@ -126,6 +136,7 @@ mod maxflow;
 mod metrics;
 mod path;
 mod reference;
+mod static_widest;
 mod topology;
 mod widest;
 mod workspace;
@@ -150,6 +161,7 @@ pub use maxflow::{max_flow, max_flow_in, FlowPath, MaxFlowResult};
 pub use metrics::{average_degree, clustering_coefficient, degree_histogram, GraphMetrics};
 pub use path::Path;
 pub use reference::ReferenceGraph;
+pub use static_widest::{edge_disjoint_widest_paths_static_in, WidthOrder};
 pub use topology::Topology;
 pub use widest::{widest_path, widest_path_in};
 pub use workspace::SearchWorkspace;

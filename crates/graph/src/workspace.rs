@@ -2,12 +2,14 @@
 //!
 //! Every path query (Dijkstra, widest path, Yen's KSP, Dinic's max flow)
 //! needs per-node scratch state — distance labels, parent pointers, a
-//! priority queue, residual-arc tables. Allocating those on every call is
-//! what made repeated path selection the engine's dominant allocation
-//! site. A [`SearchWorkspace`] owns all of them; the `*_in` variants of
-//! the search entry points ([`Graph::shortest_path_in`],
+//! priority queue, residual-arc tables, the static-width EDW walk's
+//! stamped labels. Allocating those on every call is what made repeated
+//! path selection the engine's dominant allocation site. A
+//! [`SearchWorkspace`] owns all of them; the `*_in` variants of the
+//! search entry points ([`Graph::shortest_path_in`],
 //! [`Graph::shortest_path_tree_in`], [`crate::widest_path_in`],
-//! [`crate::k_shortest_paths_in`], [`crate::max_flow_in`]) borrow the
+//! [`crate::k_shortest_paths_in`], [`crate::max_flow_in`],
+//! [`crate::edge_disjoint_widest_paths_static_in`]) borrow the
 //! workspace and run allocation-free once its buffers have grown to the
 //! graph's size (only the returned [`crate::Path`]s still allocate —
 //! they are the query's output).
@@ -19,8 +21,9 @@
 //! arrays, so a lookup is one indexed compare instead of a hash, and
 //! clearing it is O(1): a clear bumps a generation stamp and every older
 //! mark stops counting. Only when the `u32` stamp wraps does a clear
-//! zero the arrays, so no clear ever revives an old ban. The arrays grow
-//! to the largest id banned and never shrink.
+//! zero the array, so no clear ever revives an old ban. The arrays grow
+//! to the largest id banned and never shrink. The static-width EDW walk
+//! resets its settled and offered node sets the same way.
 //!
 //! Reuse is **semantics-preserving**: each search fully re-initializes
 //! the state it reads, so a warm workspace returns bit-identical results
@@ -48,6 +51,7 @@ use pcn_types::{ChannelId, NodeId};
 use crate::accel::{AccelScratch, LandmarkTable};
 use crate::dijkstra::DijkstraScratch;
 use crate::maxflow::MaxFlowScratch;
+use crate::static_widest::StaticWidestScratch;
 use crate::widest::WidestScratch;
 use crate::Graph;
 
@@ -59,6 +63,7 @@ use crate::Graph;
 pub struct SearchWorkspace {
     pub(crate) dijkstra: DijkstraScratch,
     pub(crate) widest: WidestScratch,
+    pub(crate) static_widest: StaticWidestScratch,
     pub(crate) maxflow: MaxFlowScratch,
     pub(crate) accel: AccelScratch,
     pub(crate) landmarks: LandmarkTable,
@@ -69,65 +74,90 @@ pub struct SearchWorkspace {
 }
 
 /// Per-node and per-channel ban marks with an O(1) clear.
-///
-/// A node or channel is banned iff its mark equals the current stamp.
-/// Marks are written only by `ban_*`, so after a [`BanMask::clear`]
-/// every older mark is stale. The stamp starts at 1 and never returns to
-/// 0, the value of an unmarked slot.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct BanMask {
-    nodes: Vec<u32>,
-    channels: Vec<u32>,
+    nodes: StampSet,
+    channels: StampSet,
+}
+
+impl BanMask {
+    /// Lifts every ban.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+        self.channels.clear();
+    }
+
+    pub(crate) fn ban_node(&mut self, v: NodeId) {
+        self.nodes.insert(v.index());
+    }
+
+    pub(crate) fn ban_channel(&mut self, c: ChannelId) {
+        self.channels.insert(c.index());
+    }
+
+    #[inline]
+    pub(crate) fn node_banned(&self, v: NodeId) -> bool {
+        self.nodes.contains(v.index())
+    }
+
+    #[inline]
+    pub(crate) fn channel_banned(&self, c: ChannelId) -> bool {
+        self.channels.contains(c.index())
+    }
+}
+
+/// A set of dense indices with an O(1) clear.
+///
+/// An index is in the set iff its mark equals the current stamp. Marks
+/// are written only by [`StampSet::insert`], so after a
+/// [`StampSet::clear`] every older mark is stale. The stamp starts at 1
+/// and never returns to 0, the value of an unmarked slot. The marks grow
+/// to the largest index inserted and never shrink.
+#[derive(Debug)]
+pub(crate) struct StampSet {
+    marks: Vec<u32>,
     stamp: u32,
 }
 
-impl Default for BanMask {
-    fn default() -> BanMask {
-        BanMask {
-            nodes: Vec::new(),
-            channels: Vec::new(),
+impl Default for StampSet {
+    fn default() -> StampSet {
+        StampSet {
+            marks: Vec::new(),
             stamp: 1,
         }
     }
 }
 
-impl BanMask {
-    /// Lifts every ban. O(1), except when the stamp wraps: then the
+impl StampSet {
+    /// Empties the set. O(1), except when the stamp wraps: then the
     /// marks are zeroed, so a mark left from `2^32 − 1` clears ago
     /// cannot match the new stamp.
     pub(crate) fn clear(&mut self) {
         if self.stamp == u32::MAX {
-            self.nodes.fill(0);
-            self.channels.fill(0);
+            self.marks.fill(0);
             self.stamp = 0;
         }
         self.stamp += 1;
     }
 
-    pub(crate) fn ban_node(&mut self, v: NodeId) {
-        mark(&mut self.nodes, v.index(), self.stamp);
-    }
-
-    pub(crate) fn ban_channel(&mut self, c: ChannelId) {
-        mark(&mut self.channels, c.index(), self.stamp);
+    #[inline]
+    pub(crate) fn insert(&mut self, i: usize) {
+        if i >= self.marks.len() {
+            self.marks.resize(i + 1, 0);
+        }
+        self.marks[i] = self.stamp;
     }
 
     #[inline]
-    pub(crate) fn node_banned(&self, v: NodeId) -> bool {
-        self.nodes.get(v.index()) == Some(&self.stamp)
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.marks.get(i) == Some(&self.stamp)
     }
 
-    #[inline]
-    pub(crate) fn channel_banned(&self, c: ChannelId) -> bool {
-        self.channels.get(c.index()) == Some(&self.stamp)
+    /// Moves the stamp, so a test can reach the wrap quickly.
+    #[cfg(test)]
+    pub(crate) fn set_stamp(&mut self, stamp: u32) {
+        self.stamp = stamp;
     }
-}
-
-fn mark(marks: &mut Vec<u32>, i: usize, stamp: u32) {
-    if i >= marks.len() {
-        marks.resize(i + 1, 0);
-    }
-    marks[i] = stamp;
 }
 
 impl SearchWorkspace {
@@ -184,7 +214,8 @@ mod tests {
         assert!(!m.node_banned(n(1)) && !m.channel_banned(c(1)));
         m.ban_node(n(2));
         m.ban_channel(c(2));
-        m.stamp = u32::MAX;
+        m.nodes.stamp = u32::MAX;
+        m.channels.stamp = u32::MAX;
         m.ban_node(n(4));
         m.ban_channel(c(4));
         assert!(m.node_banned(n(4)) && m.channel_banned(c(4)));
@@ -194,7 +225,7 @@ mod tests {
                 assert!(
                     !m.node_banned(n(i)) && !m.channel_banned(c(i)),
                     "id {i} banned after a clear at stamp {}",
-                    m.stamp
+                    m.nodes.stamp
                 );
             }
         }
@@ -202,11 +233,11 @@ mod tests {
         assert!(m.channel_banned(c(2)) && !m.channel_banned(c(1)));
     }
 
-    /// A warm workspace whose ban mask and goal-directed level labels
-    /// were sized (and stamped) by searches on a larger graph must
-    /// return, on a smaller graph, the same EDW, EDS and KSP paths —
-    /// plain and goal-directed — as a cold workspace, and the same again
-    /// back on the larger graph.
+    /// A warm workspace whose ban mask, goal-directed level labels and
+    /// static widest-path labels were sized (and stamped) by searches on
+    /// a larger graph must return, on a smaller graph, the same EDW, EDS
+    /// and KSP paths — plain, goal-directed and static-width — as a cold
+    /// workspace, and the same again back on the larger graph.
     #[test]
     fn warm_ban_mask_matches_cold_across_graph_sizes() {
         use rand::rngs::StdRng;
@@ -222,6 +253,10 @@ mod tests {
             let nn = g.node_count();
             let width = |e: crate::EdgeRef| Some(1.0 + (e.id.index() % 7) as f64);
             let cost = |e: crate::EdgeRef| width(e).map(|_| 1.0);
+            let order = crate::WidthOrder::from_channels(g.edges().map(|id| {
+                let (a, b) = g.endpoints(id).expect("dense ids");
+                (a, b, 1.0 + (id.index() % 7) as f64)
+            }));
             for i in 0..nn {
                 let (from, to) = (NodeId::from_index(i), NodeId::from_index((i * 5 + 3) % nn));
                 let mut cold = SearchWorkspace::new();
@@ -232,6 +267,9 @@ mod tests {
                         k_shortest_paths_in(g, ws, from, to, 4, cost),
                         crate::edge_disjoint_shortest_paths_accel_in(g, ws, from, to, 4, cost),
                         crate::k_shortest_paths_accel_in(g, ws, from, to, 4, cost, |_| false),
+                        crate::edge_disjoint_widest_paths_static_in(
+                            g, ws, &order, from, to, 4, 2.0,
+                        ),
                     )
                 };
                 assert_eq!(

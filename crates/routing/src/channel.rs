@@ -11,7 +11,7 @@
 //! exposed via [`NetworkFunds::verify_conservation`]):
 //! `spendable(a→b) + spendable(b→a) + locked(a→b) + locked(b→a) = total`.
 
-use pcn_graph::Graph;
+use pcn_graph::{Graph, WidthOrder};
 use pcn_types::{Amount, ChannelId, NodeId, PcnError, Result};
 
 /// State of one channel.
@@ -170,9 +170,21 @@ impl ChannelState {
 }
 
 /// All channel states of a PCN instance, indexed by [`ChannelId`].
+///
+/// Beside the states, the funds keep the **capacity order**: every
+/// channel id sorted by `(total desc, id asc)`, with its endpoints and
+/// its total in tokens ([`NetworkFunds::capacity_order`]). The
+/// capacity-view EDW search walks it instead of keeping a heap (see
+/// [`pcn_graph::edge_disjoint_widest_paths_static_in`]). A total never
+/// changes once its channel opens, so the order never goes stale;
+/// [`NetworkFunds::from_graph`] builds it, [`NetworkFunds::add_channel`]
+/// inserts into it, and closed channels stay in it (the search skips
+/// them).
 #[derive(Clone, Debug, Default)]
 pub struct NetworkFunds {
     channels: Vec<ChannelState>,
+    /// See [`NetworkFunds::capacity_order`].
+    order: WidthOrder,
     /// Monotone balance-movement counter; see [`NetworkFunds::funds_epoch`].
     epoch: u64,
     /// Per-channel balance-movement counters; see
@@ -195,8 +207,11 @@ impl NetworkFunds {
             })
             .collect();
         let channel_epochs = vec![0; channels.len()];
+        let order =
+            WidthOrder::from_channels(channels.iter().map(|c| (c.a, c.b, c.total.to_tokens_f64())));
         NetworkFunds {
             channels,
+            order,
             epoch: 0,
             channel_epochs,
         }
@@ -272,6 +287,15 @@ impl NetworkFunds {
         self.get(id).map_or(Amount::ZERO, ChannelState::total)
     }
 
+    /// Every channel sorted by `(total desc, id asc)`, each with its
+    /// endpoints and its total as `to_tokens_f64` — the width the
+    /// capacity view gives it. `to_tokens_f64` is strictly increasing on
+    /// totals below 2^53 millitokens, so sorting by width sorts by
+    /// total.
+    pub fn capacity_order(&self) -> &WidthOrder {
+        &self.order
+    }
+
     /// Locks `amount` on `id` in direction `from → other`.
     ///
     /// # Errors
@@ -328,9 +352,12 @@ impl NetworkFunds {
     /// id, matching the graph's `add_edge`), funded with
     /// `fund_a`/`fund_b` on the respective sides. Injects new value into
     /// the network — callers tracking conservation should account
-    /// `fund_a + fund_b` against [`NetworkFunds::grand_total`].
+    /// `fund_a + fund_b` against [`NetworkFunds::grand_total`]. The
+    /// channel takes its place in [`NetworkFunds::capacity_order`].
     pub fn add_channel(&mut self, a: NodeId, b: NodeId, fund_a: Amount, fund_b: Amount) {
-        self.channels.push(ChannelState::new(a, b, fund_a, fund_b));
+        let state = ChannelState::new(a, b, fund_a, fund_b);
+        self.order.push(a, b, state.total.to_tokens_f64());
+        self.channels.push(state);
         self.channel_epochs.push(0);
     }
 
@@ -532,6 +559,38 @@ mod tests {
         f.lock(new, n(1), Amount::from_tokens(2)).unwrap();
         assert_eq!(f.channel_epoch(new), 1);
         assert!(f.verify_conservation());
+    }
+
+    /// After `from_graph` and a run of `add_channel` calls — totals
+    /// equal to existing ones, a parallel channel, a new widest and a
+    /// zero total — the capacity order lists every channel exactly once,
+    /// sorted by (total desc, id asc), with its endpoints' width.
+    #[test]
+    fn capacity_order_lists_every_channel_by_total_then_id() {
+        let mut g = Graph::new(4);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            g.add_edge(n(a), n(b));
+        }
+        let tokens = [5, 9, 5, 7];
+        let mut f = NetworkFunds::from_graph(&g, |id, _| Amount::from_tokens(tokens[id.index()]));
+        for (a, b, t) in [
+            (0, 2, 5),
+            (1, 0, 7),
+            (1, 3, 12),
+            (2, 0, 1),
+            (1, 2, 0),
+            (3, 2, 9),
+        ] {
+            f.add_channel(n(a), n(b), Amount::from_tokens(t), Amount::from_tokens(t));
+        }
+        let order = f.capacity_order();
+        let listed: Vec<ChannelId> = order.channels().collect();
+        let mut want: Vec<ChannelId> = (0..f.len()).map(ChannelId::from_index).collect();
+        want.sort_by_key(|&c| (std::cmp::Reverse(f.total(c)), c));
+        assert_eq!(listed, want);
+        for c in listed {
+            assert_eq!(order.width(c), Some(f.total(c).to_tokens_f64()));
+        }
     }
 
     #[test]

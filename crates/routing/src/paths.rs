@@ -4,8 +4,9 @@ use core::cell::RefCell;
 
 use pcn_graph::{
     edge_disjoint_shortest_paths_accel_in, edge_disjoint_shortest_paths_in,
-    edge_disjoint_widest_paths_in, k_shortest_paths_accel_in, k_shortest_paths_in,
-    k_shortest_paths_until_in, widest_path_in, EdgeRef, Footprint, Graph, Path, SearchWorkspace,
+    edge_disjoint_widest_paths_in, edge_disjoint_widest_paths_static_in, k_shortest_paths_accel_in,
+    k_shortest_paths_in, k_shortest_paths_until_in, widest_path_in, EdgeRef, Footprint, Graph,
+    Path, SearchWorkspace,
 };
 use pcn_types::{Amount, NodeId};
 
@@ -59,8 +60,11 @@ pub enum BalanceView {
 /// Computes up to `k` paths from `src` to `dst` under the given strategy.
 ///
 /// Widths come from channel funds: live directional balance or static
-/// total depending on `view`. Paths that cannot carry at least
-/// `min_width` are filtered out for the width-based strategies.
+/// total depending on `view`. `min_width` applies to EDW only: its
+/// searches skip channels narrower than `min_width`, so no EDW path is
+/// narrower. The Heuristic ranks its candidates by bottleneck width and
+/// filters none; KSP and EDS ignore widths beyond usability (a channel
+/// is usable iff its width is positive).
 ///
 /// `accel` routes the unit-cost searches (KSP/EDS/Heuristic) through the
 /// goal-directed bidirectional BFS ([`pcn_graph::shortest_path_accel_in`]);
@@ -94,7 +98,14 @@ pub fn select_paths(
 /// [`select_paths`] running its graph searches on a reusable
 /// [`SearchWorkspace`]: the engine's hot path calls this with its
 /// long-lived workspace so repeated path selection is allocation-free.
-/// Results are bit-identical to [`select_paths`].
+/// Results are bit-identical to [`select_paths`]; as there, `min_width`
+/// filters EDW only.
+///
+/// Capacity-view EDW walks [`NetworkFunds::capacity_order`] with
+/// [`pcn_graph::edge_disjoint_widest_paths_static_in`] instead of
+/// running the heap search: channel totals never change, so their
+/// order is known before the search starts. The paths are the heap
+/// search's, which [`select_paths_footprint`] still runs.
 #[allow(clippy::too_many_arguments)] // the routing tuple is the paper's Table II axes
 pub fn select_paths_in(
     g: &Graph,
@@ -108,6 +119,17 @@ pub fn select_paths_in(
     min_width: Amount,
     accel: bool,
 ) -> Vec<Path> {
+    if (strategy, view) == (PathSelect::Edw, BalanceView::CapacityOnly) {
+        return edge_disjoint_widest_paths_static_in(
+            g,
+            ws,
+            funds.capacity_order(),
+            src,
+            dst,
+            k,
+            min_width.to_tokens_f64(),
+        );
+    }
     let width = |e: EdgeRef| funds_width(funds, view, e);
     select_paths_core(
         g,
@@ -530,6 +552,59 @@ mod tests {
         );
         assert_eq!(stale.len(), 2);
         assert_eq!(stale[0].nodes()[1], n(2));
+    }
+
+    /// Capacity-view EDW walks the funds' capacity order; the footprint
+    /// scope still runs the heap search. On a world whose channels were
+    /// opened mid-run (`add_channel` beside `add_edge`, tied totals,
+    /// parallel channels) and closed, both return the same paths for
+    /// every ordered pair, with a `min_width` that cuts some channels.
+    #[test]
+    fn capacity_edw_matches_the_heap_search_after_opens_and_closes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        for round in 0..20 {
+            let nn = rng.random_range(4..12usize);
+            let mut g = Graph::new(nn);
+            let pick = |rng: &mut StdRng| {
+                let a = rng.random_range(0..nn);
+                (
+                    NodeId::from_index(a),
+                    NodeId::from_index((a + rng.random_range(1..nn)) % nn),
+                )
+            };
+            for _ in 0..nn {
+                let (a, b) = pick(&mut rng);
+                g.add_edge(a, b);
+            }
+            let mut funds =
+                NetworkFunds::from_graph(&g, |_, _| Amount::from_tokens(rng.random_range(1..4)));
+            for _ in 0..2 * nn {
+                let (a, b) = pick(&mut rng);
+                g.add_edge(a, b);
+                let per_side = Amount::from_tokens(rng.random_range(1..4));
+                funds.add_channel(a, b, per_side, per_side);
+                if rng.random_bool(0.3) {
+                    let victim = rng.random_range(0..g.edge_count());
+                    let _ = g.close_channel(pcn_types::ChannelId::from_index(victim));
+                }
+            }
+            let min_width = Amount::from_tokens(rng.random_range(0..4));
+            let mut ws = SearchWorkspace::new();
+            let mut fp = Footprint::new();
+            for (a, b) in (0..nn).flat_map(|a| (0..nn).map(move |b| (a, b))) {
+                let (src, dst) = (NodeId::from_index(a), NodeId::from_index(b));
+                let (edw, view) = (PathSelect::Edw, BalanceView::CapacityOnly);
+                let walked = select_paths_in(
+                    &g, &mut ws, &funds, src, dst, 4, edw, view, min_width, false,
+                );
+                let heap = select_paths_footprint(
+                    &g, &mut ws, &funds, src, dst, 4, edw, view, min_width, false, &mut fp,
+                );
+                assert_eq!(walked, heap, "round {round} {src}->{dst}");
+            }
+        }
     }
 
     /// The Heuristic early exit must not change the selection: once k

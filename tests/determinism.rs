@@ -717,7 +717,10 @@ fn planner_paths_match_golden() {
     // Goal-directed search must not change a single path, so each
     // `accel=true` line's paths are also asserted equal to its
     // `accel=false` twin: regenerating the golden for a footprint change
-    // cannot hide a path change.
+    // cannot hide a path change. The footprint scope runs on every line:
+    // on CapacityOnly lines it is the heap EDW search beside
+    // `select_paths_in`'s walk of the capacity order, and its paths must
+    // be the same (nothing about it is written to the golden).
     use pcn_graph::{Footprint, SearchWorkspace};
     use pcn_routing::paths::{select_paths_footprint, select_paths_in, BalanceView, PathSelect};
     use pcn_types::NodeId;
@@ -749,11 +752,11 @@ fn planner_paths_match_golden() {
                         plain = paths.clone();
                     }
                     write!(text, "{label}: {}", paths_line(&paths)).unwrap();
+                    let scoped = select_paths_footprint(
+                        g, &mut ws, funds, src, dst, 4, strategy, view, min_w, accel, &mut fp,
+                    );
+                    assert_eq!(scoped, paths, "footprint run diverged: {label}");
                     if view == BalanceView::Live {
-                        let scoped = select_paths_footprint(
-                            g, &mut ws, funds, src, dst, 4, strategy, view, min_w, accel, &mut fp,
-                        );
-                        assert_eq!(scoped, paths, "footprint run diverged: {label}");
                         let mut channels: Vec<u32> =
                             fp.channels().iter().map(|c| c.raw()).collect();
                         channels.sort_unstable();
