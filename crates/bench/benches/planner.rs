@@ -34,6 +34,17 @@
 //! Divide a row's median by the `fig8_pairs` metadata for the time per
 //! plan.
 //!
+//! One row times Splicer's planner kernel on the multi-star
+//! `SystemBuilder::build_splicer` builds from that same scenario: every
+//! client has one channel to its hub, and the hubs are joined by a
+//! mesh.
+//!
+//! * `edw_live_hub_middles_3000n_k5` — Splicer's hub-to-hub middles:
+//!   EDW, k = 5, live balances, through the `select_paths_footprint`
+//!   call a middle-leg cache miss makes, over every ordered hub pair
+//!   once (`hub_pairs` metadata). The widest search skips the
+//!   single-channel clients, so it walks only the hub backbone.
+//!
 //! The 100k rows alternate pair by pair inside one process and one
 //! build, so frequency drift and cache warmth cancel. The acceptance
 //! bars assert in every run, `--quick` CI smoke included:
@@ -43,22 +54,28 @@
 //!   BFS settles each node whose adjacency it expands);
 //! * batched hub-leg trees ≥ 1.5× faster than the per-pair baseline;
 //! * on the Fig. 8 pairs, alternating plan by plan, the capacity-order
-//!   EDW walk returns the heap search's paths and is ≥ 1.5× faster.
+//!   EDW walk returns the heap search's paths and is ≥ 1.5× faster;
+//! * on the Fig. 8 hub pairs, alternating plan by plan, the hub
+//!   middles equal those of the search without its dead-end skip
+//!   (a bench-local `Topology` whose `degree` never reports 1), record
+//!   a footprint inside that search's, and are ≥ 5× faster.
 //!
 //! The committed `BENCH_planner.json` baseline records the measured
 //! numbers (full, non-quick run).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pcn_graph::{
-    edge_disjoint_widest_paths_in, shortest_path_two_trees_in, EdgeRef, Path, SearchWorkspace,
+    edge_disjoint_widest_paths_in, shortest_path_two_trees_in, EdgeRef, Footprint, Graph, Path,
+    SearchWorkspace, Topology,
 };
 use pcn_routing::channel::NetworkFunds;
-use pcn_routing::paths::{select_paths_in, BalanceView, PathSelect};
-use pcn_routing::{EngineConfig, SchemeConfig};
-use pcn_types::{Amount, NodeId, SimDuration};
-use pcn_workload::{PcnTopology, Scenario, ScenarioParams};
+use pcn_routing::paths::{select_paths_footprint, select_paths_in, BalanceView, PathSelect};
+use pcn_routing::{EngineConfig, RouteVia, SchemeConfig};
+use pcn_types::{Amount, ChannelId, NodeId, SimDuration};
+use pcn_workload::{Scenario, ScenarioParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use splicer_core::SystemBuilder;
 use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::Instant;
@@ -69,6 +86,34 @@ const K: usize = 4;
 const NUM_LANDMARKS: usize = 8;
 const PAIRS: usize = 12;
 const AB_ROUNDS: usize = 3;
+/// Splicer's path count, the `k` of its hub middles.
+const HUB_K: usize = 5;
+
+/// A graph seen without the widest search's dead-end skip: `degree`
+/// reports every node as a hub, never 1, so every spoke is priced.
+struct Unpruned<'g>(&'g Graph);
+
+impl Topology for Unpruned<'_> {
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+
+    fn out_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
+        self.0.edges_of(node)
+    }
+
+    fn directed_edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
+        self.0.directed_edges()
+    }
+
+    fn endpoints(&self, id: ChannelId) -> pcn_types::Result<(NodeId, NodeId)> {
+        self.0.endpoints(id)
+    }
+
+    fn degree(&self, _: NodeId) -> usize {
+        usize::MAX
+    }
+}
 
 fn world() -> (pcn_graph::Graph, NetworkFunds, Vec<(NodeId, NodeId)>) {
     let mut rng = StdRng::seed_from_u64(7);
@@ -86,9 +131,9 @@ fn world() -> (pcn_graph::Graph, NetworkFunds, Vec<(NodeId, NodeId)>) {
     (g, funds, pairs)
 }
 
-/// The e2ebench `fig8_large` world at seed 1 and its trace's distinct
-/// (source, dest) pairs, in order.
-fn fig8_world() -> (PcnTopology, Vec<(NodeId, NodeId)>) {
+/// The e2ebench `fig8_large` scenario at seed 1, ready to assemble, and
+/// its trace's distinct (source, dest) pairs, in order.
+fn fig8_world() -> (SystemBuilder, Vec<(NodeId, NodeId)>) {
     let mut params = ScenarioParams::large();
     params.duration = SimDuration::from_secs(30);
     params.arrivals_per_sec = 60.0;
@@ -99,7 +144,7 @@ fn fig8_world() -> (PcnTopology, Vec<(NodeId, NodeId)>) {
         .iter()
         .map(|p| (p.source, p.dest))
         .collect();
-    (scenario.flat, pairs.into_iter().collect())
+    (SystemBuilder::new(scenario), pairs.into_iter().collect())
 }
 
 /// One warm EDS plan selection; returns (nanos, settled nodes).
@@ -315,7 +360,8 @@ fn bench_planner(c: &mut Criterion) {
     );
     let engine = EngineConfig::default();
     assert!(engine.use_goal_directed);
-    let (flat, fig8_pairs) = fig8_world();
+    let (builder, fig8_pairs) = fig8_world();
+    let flat = &builder.scenario().flat;
     let mut fig8_ws = SearchWorkspace::new();
     let min_w = engine.min_tu.to_tokens_f64();
     // `select_paths_in`'s capacity-view width, with EDW's `min_width`
@@ -412,6 +458,122 @@ fn bench_planner(c: &mut Criterion) {
                     K,
                     capacity_width,
                 ));
+            }
+        })
+    });
+
+    // ---- Fig. 8 multi-star: Splicer's hub middles ---------------------
+    let mut splicer = builder
+        .build_splicer()
+        .expect("placement is feasible on the fig8 world");
+    let mut scheme = None;
+    splicer.tune_scheme(|s| scheme = Some(s.clone()));
+    let scheme = scheme.expect("the tweak ran");
+    assert_eq!(
+        (scheme.path_select, scheme.num_paths, scheme.balance_view),
+        (PathSelect::Edw, HUB_K, BalanceView::Live)
+    );
+    let RouteVia::Hubs { assignment } = &scheme.route_via else {
+        panic!("Splicer routes via its hubs");
+    };
+    let hubs: BTreeSet<NodeId> = assignment.values().copied().collect();
+    let hub_pairs: Vec<(NodeId, NodeId)> = hubs
+        .iter()
+        .flat_map(|&a| hubs.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
+        .collect();
+    let star = splicer.topology();
+    // `select_paths_footprint`'s live-view width, with EDW's `min_width`
+    // filter.
+    let live_width = |e: EdgeRef| {
+        let tokens = star.funds.balance(e.id, e.from).to_tokens_f64();
+        (tokens > 0.0 && tokens >= min_w).then_some(tokens)
+    };
+    let middle = |ws: &mut SearchWorkspace, fp: &mut Footprint, (hub_s, hub_r)| {
+        select_paths_footprint(
+            &star.graph,
+            ws,
+            &star.funds,
+            hub_s,
+            hub_r,
+            HUB_K,
+            PathSelect::Edw,
+            BalanceView::Live,
+            engine.min_tu,
+            false,
+            fp,
+        )
+    };
+
+    // Pruned vs unpruned, alternating which runs first plan by plan.
+    let (mut fp, mut fp_unpruned) = (Footprint::new(), Footprint::new());
+    let (mut pruned_ns, mut unpruned_ns) = (0u128, 0u128);
+    let (mut fp_sum, mut fp_unpruned_sum) = (0usize, 0usize);
+    for round in 0..AB_ROUNDS {
+        for (i, &(hub_s, hub_r)) in hub_pairs.iter().enumerate() {
+            let mut paths = [Vec::new(), Vec::new()];
+            let first_unpruned = (i + round) % 2 == 0;
+            for unpruned in [first_unpruned, !first_unpruned] {
+                let t0 = Instant::now();
+                paths[usize::from(unpruned)] = if unpruned {
+                    fp_unpruned.clear();
+                    edge_disjoint_widest_paths_in(
+                        &Unpruned(&star.graph),
+                        &mut fig8_ws,
+                        hub_s,
+                        hub_r,
+                        HUB_K,
+                        |e| {
+                            fp_unpruned.record(e.id);
+                            live_width(e)
+                        },
+                    )
+                } else {
+                    middle(&mut fig8_ws, &mut fp, (hub_s, hub_r))
+                };
+                let ns = t0.elapsed().as_nanos();
+                if unpruned {
+                    unpruned_ns += ns;
+                } else {
+                    pruned_ns += ns;
+                }
+            }
+            assert_eq!(
+                paths[0], paths[1],
+                "hub middles {hub_s}->{hub_r} differ without the dead-end skip"
+            );
+            assert!(
+                fp.channels().iter().all(|&c| fp_unpruned.contains(c)),
+                "hub middle {hub_s}->{hub_r}: footprint outside the unpruned one"
+            );
+            fp_sum += fp.len();
+            fp_unpruned_sum += fp_unpruned.len();
+        }
+    }
+    let middle_speedup = unpruned_ns as f64 / pruned_ns as f64;
+    assert!(
+        middle_speedup >= 5.0,
+        "hub middles must be ≥5× faster with the dead-end skip than without \
+         (unpruned {unpruned_ns} ns vs pruned {pruned_ns} ns = {middle_speedup:.2}×)"
+    );
+    let plans = (AB_ROUNDS * hub_pairs.len()) as f64;
+    group.metadata(
+        "hub_middle_speedup_interleaved",
+        format!("{middle_speedup:.2}"),
+    );
+    group.metadata("hub_pairs", hub_pairs.len());
+    group.metadata(
+        "hub_middle_footprint_mean",
+        format!("{:.1}", fp_sum as f64 / plans),
+    );
+    group.metadata(
+        "hub_middle_footprint_mean_unpruned",
+        format!("{:.1}", fp_unpruned_sum as f64 / plans),
+    );
+    group.throughput(Throughput::Elements(hub_pairs.len() as u64));
+    group.bench_function(format!("edw_live_hub_middles_3000n_k{HUB_K}"), |b| {
+        b.iter(|| {
+            for &pair in &hub_pairs {
+                black_box(middle(&mut fig8_ws, &mut fp, pair));
             }
         })
     });

@@ -5,11 +5,16 @@
 //! *footprint* — is exactly what the computation's result can depend on
 //! beyond topology: the searches in this crate only consult edge state
 //! through their closure, and every edge whose state could have altered
-//! the outcome is consulted (in the plain searches an edge that was
-//! never queried hangs off a node the search never reached, and
-//! reachability is decided purely by queried edges; the goal-directed
-//! BFS carries its own argument in the `accel` module docs). A caller
-//! that wraps its closure in
+//! the outcome is consulted. In the plain searches an edge that was
+//! never queried either hangs off a node the search never reached, or
+//! leads into a node of degree 1 that is not the target: the widest-path
+//! search skips such a dead end by topology alone, before its closure
+//! runs, and no state of the dead end's one channel could make the node
+//! interior to a path (the argument is in [`crate::widest_path`]'s
+//! docs). Which nodes are reached is decided by queried edges, and which
+//! nodes are dead ends by the topology. The goal-directed BFS carries
+//! its own argument in the `accel` module docs. A caller that wraps its
+//! closure in
 //! [`Footprint::record`] therefore obtains a sound invalidation scope:
 //! as long as the topology and every footprint channel are unchanged,
 //! rerunning the search returns a bit-identical result.

@@ -732,6 +732,10 @@ impl crate::Topology for Graph {
     fn endpoints(&self, id: ChannelId) -> Result<(NodeId, NodeId)> {
         Graph::endpoints(self, id)
     }
+
+    fn degree(&self, node: NodeId) -> usize {
+        Graph::degree(self, node)
+    }
 }
 
 /// Iterator over the directed edges leaving one node: the node's CSR row

@@ -1,10 +1,12 @@
 //! Dinic's maximum flow with path decomposition.
 //!
-//! The Flash baseline [10] routes large ("elephant") payments along the
-//! paths of a bounded max-flow between sender and receiver. We implement
-//! Dinic's algorithm over integer (millitoken) capacities and decompose the
-//! resulting flow into augmenting paths so the router can send value along
-//! each path proportionally.
+//! The Flash baseline [10] routes large ("elephant") payments over
+//! max-flow paths between sender and receiver. We implement Dinic's
+//! algorithm over integer (millitoken) capacities: [`max_flow_in`]
+//! computes the full max flow and decomposes it into source→sink paths,
+//! each with the flow it carries. Flash's planner keeps the k paths that
+//! carry the most flow, and the engine sends the payment's transaction
+//! units round-robin over them.
 
 use std::collections::VecDeque;
 

@@ -167,6 +167,10 @@ impl Topology for ReferenceGraph {
             .map(|e| (e.0, e.1))
             .ok_or(PcnError::UnknownChannel(id))
     }
+
+    fn degree(&self, node: NodeId) -> usize {
+        ReferenceGraph::degree(self, node)
+    }
 }
 
 #[cfg(test)]

@@ -27,6 +27,14 @@
 //! label is final when it relaxes `v`, and a node popped after `v` never
 //! offers it a better label.
 //!
+//! The heap search skips every arc into a node of degree 1 other than
+//! the target, so such a dead end, unless it is the source, is never
+//! labelled there. Its one channel leads back to the node that reached
+//! it, whose label is already final, so its offer changes no label: the
+//! description above holds for every other node either way. The static
+//! search does settle dead ends, but a dead end is interior to no path
+//! and improves no label, so both searches return the same paths.
+//!
 //! # The static search
 //!
 //! The walk takes the channels one *group* of equal width `w` at a time,

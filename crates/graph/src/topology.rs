@@ -31,7 +31,8 @@ use crate::EdgeRef;
 /// * [`Topology::directed_edges`] yields both directions of every *open*
 ///   channel, ascending by channel id;
 /// * [`Topology::endpoints`] answers for closed channels too (the dense
-///   id space outlives closure).
+///   id space outlives closure);
+/// * [`Topology::degree`] is the number of arcs `out_edges` yields.
 pub trait Topology {
     /// Number of nodes (ids are dense `0..node_count()`).
     fn node_count(&self) -> usize;
@@ -49,4 +50,14 @@ pub trait Topology {
     ///
     /// `PcnError::UnknownChannel` if the channel does not exist.
     fn endpoints(&self, id: pcn_types::ChannelId) -> Result<(NodeId, NodeId)>;
+
+    /// Open degree of `node` (0 when out of range).
+    ///
+    /// The widest-path search ([`crate::widest_path_in`]) reads it to
+    /// skip dead ends: a node of degree 1 that is not the target can only
+    /// lead back the way the search came, so no arc into it is priced.
+    /// A degree changes only when a channel opens or closes, which moves
+    /// [`crate::Graph::topology_epoch`], so a result cached under an
+    /// unchanged epoch saw the same degrees.
+    fn degree(&self, node: NodeId) -> usize;
 }

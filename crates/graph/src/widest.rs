@@ -5,6 +5,13 @@
 //! a path utilizes network capacity best. The widest path maximizes
 //! `min(width(e) for e in path)` and is computed with a Dijkstra variant
 //! (max-heap over bottleneck widths).
+//!
+//! The search skips dead ends by topology alone: an arc into a node of
+//! open degree 1 that is not the target is never priced. In a
+//! multi-star, where every client has one channel to its hub, a
+//! hub-to-hub search then walks only the hub backbone instead of pricing
+//! and pushing every spoke of every hub it expands. [`widest_path`]
+//! gives the argument that the paths do not change.
 
 use std::collections::BinaryHeap;
 
@@ -51,6 +58,22 @@ fn unpack(key: u128) -> (f64, u32, NodeId) {
 /// = unusable). Ties between equally wide paths are broken towards fewer
 /// hops. Returns `(bottleneck, path)` or `None` when unreachable.
 ///
+/// Arcs into a node `x` other than `to` whose [`Topology::degree`] is 1
+/// are skipped before `width` is called, which changes no result. If
+/// `x` is `from`, no offer improves its label `(∞, 0)`. Otherwise `x`
+/// can only be reached over its one channel, from the node `u` being
+/// expanded, so `x` is interior to no path. Were `x` labelled and
+/// popped, its only arc would lead back to `u`, which has already popped
+/// with its final label `(W(u), H(u))`. The offer `x` makes is
+/// `(min(W(x), c), H(u) + 2)` with `W(x) ≤ W(u)`: never wider and always
+/// longer, so it changes no label. Every other node keeps its
+/// `(W, H, parent)` and its place in the pop order. As `width` is not
+/// called on an arc into such a dead end, a [`Footprint`] recorded
+/// through it need not hold the dead end's channel; the `footprint`
+/// module docs say why the smaller set is still sufficient.
+///
+/// [`Footprint`]: crate::Footprint
+///
 /// # Examples
 ///
 /// ```
@@ -80,6 +103,9 @@ where
 /// [`widest_path`] running on the reusable buffers of a
 /// [`SearchWorkspace`]: repeated calls are allocation-free (apart from
 /// the returned [`Path`]) and bit-identical to the allocating form.
+///
+/// Like [`widest_path`], it never prices an arc into a degree-1 node
+/// other than `to` (see there for why the paths stay the same).
 pub fn widest_path_in<G, F>(
     g: &G,
     ws: &mut SearchWorkspace,
@@ -134,6 +160,11 @@ where
             break;
         }
         for e in g.out_edges(u) {
+            // A dead end: its one channel leads back to `u`, whose label
+            // is final, so it can improve no label (see `widest_path`).
+            if e.to != to && g.degree(e.to) == 1 {
+                continue;
+            }
             let Some(ew) = width(e) else { continue };
             if !(ew.is_finite() && ew > 0.0) && ew != f64::INFINITY {
                 continue;
@@ -301,6 +332,171 @@ mod tests {
                 "{a:?} vs {b:?}"
             );
         }
+    }
+
+    /// The search without its dead-end skip: `degree` reports every
+    /// node as a hub, never 1, so no arc is skipped.
+    struct Unpruned<'g>(&'g Graph);
+
+    impl Topology for Unpruned<'_> {
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+
+        fn out_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
+            self.0.edges_of(node)
+        }
+
+        fn directed_edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
+            self.0.directed_edges()
+        }
+
+        fn endpoints(&self, id: ChannelId) -> pcn_types::Result<(NodeId, NodeId)> {
+            self.0.endpoints(id)
+        }
+
+        fn degree(&self, _: NodeId) -> usize {
+            usize::MAX
+        }
+    }
+
+    /// A random star or multi-star: 1–4 hubs on a random backbone, each
+    /// with 0–4 single-channel clients, plus random extra channels (some
+    /// clients get a second hub), parallel spokes, and channels closed
+    /// and some reopened. Roles land on shuffled ids. Returns the graph
+    /// and a random width per channel direction, `[a → b, b → a]` for
+    /// endpoints `(a, b)`, with ties and a rare zero.
+    fn random_multi_star(rng: &mut rand::rngs::StdRng) -> (Graph, Vec<[f64; 2]>) {
+        use rand::Rng;
+        let hubs = rng.random_range(1..5usize);
+        let clients: Vec<usize> = (0..hubs).map(|_| rng.random_range(0..5usize)).collect();
+        let nn = hubs + clients.iter().sum::<usize>();
+        let mut ids: Vec<NodeId> = (0..nn).map(NodeId::from_index).collect();
+        for i in (1..nn).rev() {
+            ids.swap(i, rng.random_range(0..=i));
+        }
+        let mut g = Graph::new(nn);
+        for a in 0..hubs {
+            for b in (a + 1)..hubs {
+                if rng.random_bool(0.6) {
+                    g.add_edge(ids[a], ids[b]);
+                }
+            }
+        }
+        let mut next = hubs;
+        for (hub, &count) in clients.iter().enumerate() {
+            for _ in 0..count {
+                g.add_edge(ids[hub], ids[next]);
+                if rng.random_bool(0.1) {
+                    g.add_edge(ids[next], ids[hub]);
+                }
+                next += 1;
+            }
+        }
+        if nn > 1 {
+            for _ in 0..rng.random_range(0..=nn / 3) {
+                let a = rng.random_range(0..nn);
+                let b = (a + rng.random_range(1..nn)) % nn;
+                g.add_edge(ids[a], ids[b]);
+            }
+        }
+        let m = g.edge_count();
+        let mut closed = Vec::new();
+        for _ in 0..rng.random_range(0..=m / 4) {
+            let c = ChannelId::from_index(rng.random_range(0..m));
+            if g.close_channel(c).is_ok() {
+                closed.push(c);
+            }
+        }
+        for c in closed {
+            if rng.random_bool(0.5) {
+                g.reopen_channel(c).expect("closed above");
+            }
+        }
+        let widths = (0..m)
+            .map(|_| [random_width(rng), random_width(rng)])
+            .collect();
+        (g, widths)
+    }
+
+    fn random_width(rng: &mut rand::rngs::StdRng) -> f64 {
+        use rand::Rng;
+        if rng.random_bool(0.05) {
+            0.0
+        } else {
+            f64::from(rng.random_range(1..5u32))
+        }
+    }
+
+    /// The dead-end skip changes no path, only shrinks the footprint,
+    /// and the smaller footprint is still sufficient. On every ordered
+    /// pair of random stars and multi-stars (leaf sources and targets
+    /// included), for k = 1 and 5: the search equals the unpruned one,
+    /// its footprint is a subset of the unpruned footprint, and
+    /// redrawing the width of every channel outside its footprint
+    /// leaves its answer unchanged.
+    #[test]
+    fn dead_end_skip_matches_unpruned_search_on_random_multi_stars() {
+        use crate::{edge_disjoint_widest_paths_in, Footprint};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(31);
+        let (mut ws, mut fp, mut fp_full) =
+            (SearchWorkspace::new(), Footprint::new(), Footprint::new());
+        let (mut reached, mut shrunk) = (0usize, 0usize);
+        for world in 0..300 {
+            let (g, widths) = random_multi_star(&mut rng);
+            let tails: Vec<NodeId> = g
+                .edges()
+                .map(|id| g.endpoints(id).expect("dense ids").0)
+                .collect();
+            let width_of = |widths: &[[f64; 2]], e: EdgeRef| {
+                let w = widths[e.id.index()][usize::from(e.from != tails[e.id.index()])];
+                (w > 0.0).then_some(w)
+            };
+            let nn = g.node_count();
+            for (from, to) in (0..nn).flat_map(|a| (0..nn).map(move |b| (a, b))) {
+                let (from, to) = (NodeId::from_index(from), NodeId::from_index(to));
+                for k in [1, 5] {
+                    let at = format!("world {world} {from}->{to} k={k}");
+                    fp.clear();
+                    let got = edge_disjoint_widest_paths_in(&g, &mut ws, from, to, k, |e| {
+                        fp.record(e.id);
+                        width_of(&widths, e)
+                    });
+                    fp_full.clear();
+                    let want =
+                        edge_disjoint_widest_paths_in(&Unpruned(&g), &mut ws, from, to, k, |e| {
+                            fp_full.record(e.id);
+                            width_of(&widths, e)
+                        });
+                    assert_eq!(got, want, "{at}");
+                    assert!(
+                        fp.channels().iter().all(|&c| fp_full.contains(c)),
+                        "{at}: pruned footprint {:?} ⊄ {:?}",
+                        fp.channels(),
+                        fp_full.channels()
+                    );
+                    reached += usize::from(!got.is_empty() && from != to);
+                    shrunk += usize::from(fp.len() < fp_full.len());
+                    let mut redrawn = widths.clone();
+                    for (c, w) in redrawn.iter_mut().enumerate() {
+                        if !fp.contains(ChannelId::from_index(c)) {
+                            *w = [random_width(&mut rng), random_width(&mut rng)];
+                        }
+                    }
+                    let again = edge_disjoint_widest_paths_in(&g, &mut ws, from, to, k, |e| {
+                        width_of(&redrawn, e)
+                    });
+                    assert_eq!(again, got, "{at}: a move outside the footprint");
+                }
+            }
+        }
+        assert!(reached > 20_000, "too few reachable pairs: {reached}");
+        assert!(
+            shrunk > 20_000,
+            "the skip rarely shrank a footprint: {shrunk}"
+        );
     }
 
     #[test]

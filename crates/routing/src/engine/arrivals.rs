@@ -719,6 +719,62 @@ mod tests {
         assert_eq!(stats.invalidations(), 1, "middle leg recomputed");
     }
 
+    /// A hub middle's footprint leaves out the client spokes: the
+    /// widest-path search never prices an arc into a single-channel node
+    /// other than its target. On a two-hub multi-star, funds moving on a
+    /// spoke of the source hub keep the cached middle fresh; funds
+    /// moving on the hub-to-hub channel still stale it.
+    #[test]
+    fn hub_middle_leg_survives_client_spoke_moves() {
+        let mut g = pcn_graph::Graph::new(7);
+        let backbone = g.add_edge(n(0), n(1));
+        // Clients 2, 3 and 4 on hub 0; 5 and 6 on hub 1.
+        let spokes: Vec<_> = [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6)]
+            .into_iter()
+            .map(|(hub, client)| g.add_edge(n(hub), n(client)))
+            .collect();
+        let funds = NetworkFunds::uniform(&g, Amount::from_tokens(100));
+        let assignment: std::collections::BTreeMap<NodeId, NodeId> =
+            [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1)]
+                .into_iter()
+                .map(|(client, hub)| (n(client), n(hub)))
+                .collect();
+        let mut engine = Engine::new(
+            g,
+            funds,
+            SchemeConfig::splicer(assignment),
+            EngineConfig::default(),
+            SimRng::seed(8),
+        );
+        let payments = payments_from_tuples(
+            &[(0, 2, 5, 1), (0, 2, 5, 1), (0, 2, 5, 1)],
+            SimDuration::from_secs(3),
+        );
+        let first = engine.plan_paths(&payments[0]);
+        assert_eq!(first.len(), 1);
+        assert_eq!(first[0].nodes(), [n(2), n(0), n(1), n(5)]);
+        assert_eq!(engine.path_cache.stats().misses, 3, "head, middle, tail");
+        // Hub 0 expands first in every middle search and has the spoke
+        // to client 3, but never prices it: all three legs hit.
+        engine
+            .funds
+            .lock(spokes[1], n(0), Amount::from_tokens(1))
+            .unwrap();
+        let second = engine.plan_paths(&payments[1]);
+        assert_eq!(first[0].nodes(), second[0].nodes());
+        let stats = engine.path_cache.stats();
+        assert_eq!((stats.hits, stats.inv_footprint), (3, 0));
+        engine
+            .funds
+            .lock(backbone, n(0), Amount::from_tokens(1))
+            .unwrap();
+        let third = engine.plan_paths(&payments[2]);
+        assert_eq!(first[0].nodes(), third[0].nodes());
+        let stats = engine.path_cache.stats();
+        assert_eq!(stats.hits, 5, "head and tail still fresh");
+        assert_eq!(stats.inv_footprint, 1, "middle leg recomputed");
+    }
+
     /// Flash's mice pool is cached per (source, dest) and the per-payment
     /// random pick still draws from the engine RNG (cache on or off).
     #[test]

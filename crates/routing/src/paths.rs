@@ -154,6 +154,14 @@ pub fn select_paths_in(
 /// scoped-invalidation contract the path cache relies on. Path results
 /// are bit-identical to [`select_paths_in`].
 ///
+/// EDW's widest-path search never prices an arc into a node of degree 1
+/// that is not its target (see [`pcn_graph::widest_path`]), so a hub
+/// middle on a multi-star records the hub backbone it walked, not the
+/// spokes of every hub it expanded. The smaller footprint is still
+/// sufficient: no funds state of such a spoke can put the client on a
+/// path, and a degree changes only with the topology epoch, which stales
+/// the entry anyway.
+///
 /// Goal-directed searches keep the footprint sufficient as they are:
 /// each prices every out-edge of every node it expands, and its two
 /// expanded balls cover every path no longer than its answer (see the
