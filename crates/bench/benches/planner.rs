@@ -27,7 +27,7 @@
 //!   e2ebench's `planner.query_us.spider`);
 //! * `edw_heap_capacity_3000n_k4` — the same plans through the heap
 //!   search (`edge_disjoint_widest_paths_in` with the capacity-view
-//!   width closure), which live-balance EDW still runs;
+//!   width closure), which live-balance EDW runs;
 //! * `ksp_accel_3000n_k4` — Flash's mice pool: Yen KSP, k = 4,
 //!   capacity view, every spur search a goal-directed bidirectional BFS.
 //!
@@ -40,8 +40,8 @@
 //! mesh.
 //!
 //! * `edw_live_hub_middles_3000n_k5` — Splicer's hub-to-hub middles:
-//!   EDW, k = 5, live balances, through the `select_paths_footprint`
-//!   call a middle-leg cache miss makes, over every ordered hub pair
+//!   EDW, k = 5, live balances, through the `select_paths_in` call the
+//!   engine makes for every cross-hub plan, over every ordered hub pair
 //!   once (`hub_pairs` metadata). The widest search skips the
 //!   single-channel clients, so it walks only the hub backbone.
 //!
@@ -57,19 +57,19 @@
 //!   EDW walk returns the heap search's paths and is ≥ 1.5× faster;
 //! * on the Fig. 8 hub pairs, alternating plan by plan, the hub
 //!   middles equal those of the search without its dead-end skip
-//!   (a bench-local `Topology` whose `degree` never reports 1), record
-//!   a footprint inside that search's, and are ≥ 5× faster.
+//!   (a bench-local `Topology` whose `degree` never reports 1) and are
+//!   ≥ 5× faster.
 //!
 //! The committed `BENCH_planner.json` baseline records the measured
 //! numbers (full, non-quick run).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pcn_graph::{
-    edge_disjoint_widest_paths_in, shortest_path_two_trees_in, EdgeRef, Footprint, Graph, Path,
+    edge_disjoint_widest_paths_in, shortest_path_two_trees_in, EdgeRef, Graph, Path,
     SearchWorkspace, Topology,
 };
 use pcn_routing::channel::NetworkFunds;
-use pcn_routing::paths::{select_paths_footprint, select_paths_in, BalanceView, PathSelect};
+use pcn_routing::paths::{select_paths_in, BalanceView, PathSelect};
 use pcn_routing::{EngineConfig, RouteVia, SchemeConfig};
 use pcn_types::{Amount, ChannelId, NodeId, SimDuration};
 use pcn_workload::{Scenario, ScenarioParams};
@@ -482,14 +482,14 @@ fn bench_planner(c: &mut Criterion) {
         .flat_map(|&a| hubs.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
         .collect();
     let star = splicer.topology();
-    // `select_paths_footprint`'s live-view width, with EDW's `min_width`
+    // `select_paths_in`'s live-view width, with EDW's `min_width`
     // filter.
     let live_width = |e: EdgeRef| {
         let tokens = star.funds.balance(e.id, e.from).to_tokens_f64();
         (tokens > 0.0 && tokens >= min_w).then_some(tokens)
     };
-    let middle = |ws: &mut SearchWorkspace, fp: &mut Footprint, (hub_s, hub_r)| {
-        select_paths_footprint(
+    let middle = |ws: &mut SearchWorkspace, (hub_s, hub_r)| {
+        select_paths_in(
             &star.graph,
             ws,
             &star.funds,
@@ -500,14 +500,11 @@ fn bench_planner(c: &mut Criterion) {
             BalanceView::Live,
             engine.min_tu,
             false,
-            fp,
         )
     };
 
     // Pruned vs unpruned, alternating which runs first plan by plan.
-    let (mut fp, mut fp_unpruned) = (Footprint::new(), Footprint::new());
     let (mut pruned_ns, mut unpruned_ns) = (0u128, 0u128);
-    let (mut fp_sum, mut fp_unpruned_sum) = (0usize, 0usize);
     for round in 0..AB_ROUNDS {
         for (i, &(hub_s, hub_r)) in hub_pairs.iter().enumerate() {
             let mut paths = [Vec::new(), Vec::new()];
@@ -515,20 +512,16 @@ fn bench_planner(c: &mut Criterion) {
             for unpruned in [first_unpruned, !first_unpruned] {
                 let t0 = Instant::now();
                 paths[usize::from(unpruned)] = if unpruned {
-                    fp_unpruned.clear();
                     edge_disjoint_widest_paths_in(
                         &Unpruned(&star.graph),
                         &mut fig8_ws,
                         hub_s,
                         hub_r,
                         HUB_K,
-                        |e| {
-                            fp_unpruned.record(e.id);
-                            live_width(e)
-                        },
+                        live_width,
                     )
                 } else {
-                    middle(&mut fig8_ws, &mut fp, (hub_s, hub_r))
+                    middle(&mut fig8_ws, (hub_s, hub_r))
                 };
                 let ns = t0.elapsed().as_nanos();
                 if unpruned {
@@ -541,12 +534,6 @@ fn bench_planner(c: &mut Criterion) {
                 paths[0], paths[1],
                 "hub middles {hub_s}->{hub_r} differ without the dead-end skip"
             );
-            assert!(
-                fp.channels().iter().all(|&c| fp_unpruned.contains(c)),
-                "hub middle {hub_s}->{hub_r}: footprint outside the unpruned one"
-            );
-            fp_sum += fp.len();
-            fp_unpruned_sum += fp_unpruned.len();
         }
     }
     let middle_speedup = unpruned_ns as f64 / pruned_ns as f64;
@@ -555,25 +542,16 @@ fn bench_planner(c: &mut Criterion) {
         "hub middles must be ≥5× faster with the dead-end skip than without \
          (unpruned {unpruned_ns} ns vs pruned {pruned_ns} ns = {middle_speedup:.2}×)"
     );
-    let plans = (AB_ROUNDS * hub_pairs.len()) as f64;
     group.metadata(
         "hub_middle_speedup_interleaved",
         format!("{middle_speedup:.2}"),
     );
     group.metadata("hub_pairs", hub_pairs.len());
-    group.metadata(
-        "hub_middle_footprint_mean",
-        format!("{:.1}", fp_sum as f64 / plans),
-    );
-    group.metadata(
-        "hub_middle_footprint_mean_unpruned",
-        format!("{:.1}", fp_unpruned_sum as f64 / plans),
-    );
     group.throughput(Throughput::Elements(hub_pairs.len() as u64));
     group.bench_function(format!("edw_live_hub_middles_3000n_k{HUB_K}"), |b| {
         b.iter(|| {
             for &pair in &hub_pairs {
-                black_box(middle(&mut fig8_ws, &mut fp, pair));
+                black_box(middle(&mut fig8_ws, pair));
             }
         })
     });

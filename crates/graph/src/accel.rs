@@ -63,26 +63,6 @@
 //! Labels are per-node `(stamp, levels)` entries cleared in O(1) by a
 //! generation stamp, the scheme of the workspace's ban mask.
 //!
-//! # Footprint sufficiency
-//!
-//! A caller that records a channel footprint (see [`crate::Footprint`])
-//! needs the result to survive any funds move confined to channels the
-//! search never priced. One search is enough for that. Take any path `P`
-//! of length `L ≤ D` after such a move and walk it from the source. By
-//! induction each of its first `r_f` nodes sits at a forward level no
-//! greater than its position: it was therefore expanded, all its
-//! out-arcs were priced, and the arc `P` leaves it by is unchanged and
-//! was usable before the move, which carries the bound to the next
-//! node. Likewise the backward side priced `P`'s last `r_b` arcs. Since
-//! `L ≤ r_f + r_b`, the two stretches cover `P`: every arc of `P` was
-//! priced, is unchanged, and `P` was usable before the move too. The
-//! same holds the other way round, so the paths of length at most `D`
-//! are the same before and after. That fixes the distance, the levels of every
-//! shortest-path node and the usable arcs between them, which is all the
-//! rebuild reads. An unreachable answer is sound as well: the side whose
-//! frontier ran empty expanded everything it can reach and priced every
-//! arc leaving that set.
-//!
 //! # Landmark table
 //!
 //! [`LandmarkTable`] picks a deterministic farthest-point landmark set,
@@ -540,7 +520,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Footprint;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -754,50 +733,6 @@ mod tests {
             let plain = g.shortest_path_in(&mut ws, n(0), n(3), cost);
             assert_same(&plain, &accel, &format!("{leaves} leaves"));
             assert_eq!(accel.unwrap().1.channels(), &[first, second, last]);
-        }
-    }
-
-    /// The footprint argument on a hand-built world. Frontier {2, 1}
-    /// meets the backward side at 4 while expanding 2; node 1 must still
-    /// be expanded, because funding its unfunded channel 1-3 opens a
-    /// tie 0-1-3-5 that wins on ids. Flipping any channel the search did
-    /// not price, alone or all together, must leave plain Dijkstra's
-    /// answer where the search's was.
-    #[test]
-    fn funds_flip_on_an_unpriced_channel_keeps_the_path() {
-        let mut g = Graph::new(8);
-        g.add_edge(n(0), n(2));
-        g.add_edge(n(0), n(1));
-        g.add_edge(n(2), n(4));
-        g.add_edge(n(4), n(5));
-        let tie = g.add_edge(n(1), n(3));
-        g.add_edge(n(3), n(5));
-        g.add_edge(n(3), n(6));
-        g.add_edge(n(6), n(7));
-        let mut funded = vec![true; g.edge_count()];
-        funded[tie.index()] = false;
-        funded[g.edge_count() - 1] = false;
-        let mut ws = SearchWorkspace::new();
-        let mut fp = Footprint::new();
-        let got = shortest_path_accel_in(&g, &mut ws, n(0), n(5), |e| {
-            fp.record(e.id);
-            funded[e.id.index()].then_some(1.0)
-        });
-        assert_eq!(got.as_ref().unwrap().1.nodes(), &[n(0), n(2), n(4), n(5)]);
-        assert!(fp.contains(tie), "an expanded node's arcs are all priced");
-        let unpriced: Vec<usize> = (0..g.edge_count())
-            .filter(|&c| !fp.contains(pcn_types::ChannelId::from_index(c)))
-            .collect();
-        assert!(!unpriced.is_empty(), "the search priced every channel");
-        let flips = unpriced.iter().map(|&c| vec![c]).chain([unpriced.clone()]);
-        for flip in flips {
-            let mut moved = funded.clone();
-            for &c in &flip {
-                moved[c] = !moved[c];
-            }
-            let cost = |e: EdgeRef| moved[e.id.index()].then_some(1.0);
-            let fresh = g.shortest_path_in(&mut ws, n(0), n(5), cost);
-            assert_same(&got, &fresh, &format!("flipped {flip:?}"));
         }
     }
 

@@ -684,9 +684,7 @@ impl Graph {
 
     /// [`Graph::shortest_path_in`] for unit costs (every usable edge
     /// costs exactly 1), as a bidirectional BFS; see
-    /// [`crate::shortest_path_accel_in`]. Bit-identical results, and the
-    /// channels the cost closure is consulted on form a sufficient
-    /// dependency footprint.
+    /// [`crate::shortest_path_accel_in`]. Bit-identical results.
     pub fn shortest_path_accel_in<F>(
         &self,
         ws: &mut crate::SearchWorkspace,

@@ -14,19 +14,15 @@
 //! lets the routing layer price edges off live channel state without the
 //! graph crate knowing about balances.
 //!
-//! Three cross-cutting facilities support the routing layer's epoch-
-//! versioned path cache:
+//! Two cross-cutting facilities support the routing layer's
+//! epoch-versioned path cache:
 //!
 //! * [`SearchWorkspace`] — reusable search buffers. Every algorithm has
 //!   a `*_in` variant that borrows a workspace and runs allocation-free
 //!   when called repeatedly, returning bit-identical results to the
 //!   allocating form.
 //! * [`Graph::topology_epoch`] — a monotone counter bumped on every
-//!   structural mutation, the topology half of the cache's
-//!   epoch-invalidation contract.
-//! * [`Footprint`] — a recorder a caller threads through its cost/width
-//!   closure to capture exactly which channels a search consulted, the
-//!   dependency set that scopes live-state cache invalidation.
+//!   structural mutation, the cache's whole invalidation contract.
 //!
 //! # Memory layout
 //!
@@ -88,10 +84,6 @@
 //! into it, joined by that node's first usable channel to it in
 //! adjacency order. The trees apply the rule by expanding levels in
 //! ascending id; the point-to-point search applies it while rebuilding.
-//! The channels a goal-directed search prices are also a sufficient
-//! dependency footprint: every out-edge of every expanded node is
-//! priced, and the two expanded balls cover every path no longer than
-//! the answer.
 //!
 //! # Static widths
 //!
@@ -129,7 +121,6 @@ mod accel;
 mod bfs;
 mod dijkstra;
 mod disjoint;
-mod footprint;
 mod generators;
 mod graph;
 mod maxflow;
@@ -154,7 +145,6 @@ pub use disjoint::{
     edge_disjoint_shortest_paths, edge_disjoint_shortest_paths_in, edge_disjoint_widest_paths,
     edge_disjoint_widest_paths_in,
 };
-pub use footprint::Footprint;
 pub use generators::{barabasi_albert, complete, erdos_renyi, ring, star, watts_strogatz};
 pub use graph::{AdjacencyStats, EdgeRef, EdgesOf, Graph};
 pub use maxflow::{max_flow, max_flow_in, FlowPath, MaxFlowResult};

@@ -19,7 +19,7 @@
 //!
 //! Cells carry the engine's path-cache counters
 //! (`RunStats::path_cache`: hits/misses/evictions plus invalidations
-//! split by cause — topology/funds/price/footprint) and the
+//! split by cause — topology, and footprint, which is always 0) and the
 //! dynamic-world counters (`world_events_applied`,
 //! `tus_expired_by_close`), so cache effectiveness and timeline
 //! activity are visible per grid cell; [`RunTuning::path_cache`]

@@ -21,9 +21,9 @@ contract, deny-by-default:
                        thread_rng / from_entropy outside the allowlisted
                        wall-clock site (crates/routing/src/stats.rs).
                        Tests/benches exempt.
-  r3  epoch-bump       every &mut self fn on NetworkFunds/Graph that
-                       writes balance/adjacency state must mention the
-                       corresponding epoch bump in its body.
+  r3  epoch-bump       every &mut self fn on Graph that writes
+                       adjacency state must mention the topology epoch
+                       bump in its body (LandmarkTable rebuilds too).
   r4  safety-comment   every `unsafe` is preceded by a `// SAFETY:`
                        comment. Applies everywhere, tests included.
 

@@ -1,21 +1,23 @@
-//! R3 fixture: epoch-contract violations on NetworkFunds and Graph.
+//! R3 fixture: epoch-contract violations on Graph, and NetworkFunds
+//! balance writes, which are out of scope (no cache entry reads
+//! balances, so the funds keep no epoch).
 //! Not compiled — lexed by `tests/corpus.rs` under a semantic-crate path.
 
 impl NetworkFunds {
     pub fn lock_no_bump(&mut self, id: ChannelId, amount: Amount) {
-        // finding: writes balance state, never mentions an epoch bump
+        // out of scope: balance writes need no epoch
         self.get_mut(id).lock(amount);
     }
 
     pub fn settle_ok(&mut self, id: ChannelId, amount: Amount) {
         self.get_mut(id).settle(amount);
-        self.bump(id); // satisfied
+        self.bump(id); // out of scope either way
     }
 
     pub fn rebalance_ok(&mut self, id: ChannelId) {
         let ch = self.get_mut(id);
         ch.bal_ab = ch.bal_ba;
-        self.funds_epoch += 1; // satisfied: mentions an epoch
+        self.funds_epoch += 1; // out of scope either way
     }
 
     pub fn read_only(&self, id: ChannelId) -> Amount {

@@ -185,11 +185,6 @@ pub struct NetworkFunds {
     channels: Vec<ChannelState>,
     /// See [`NetworkFunds::capacity_order`].
     order: WidthOrder,
-    /// Monotone balance-movement counter; see [`NetworkFunds::funds_epoch`].
-    epoch: u64,
-    /// Per-channel balance-movement counters; see
-    /// [`NetworkFunds::channel_epoch`].
-    channel_epochs: Vec<u64>,
 }
 
 impl NetworkFunds {
@@ -206,15 +201,9 @@ impl NetworkFunds {
                 ChannelState::new(a, b, fund(id, a), fund(id, b))
             })
             .collect();
-        let channel_epochs = vec![0; channels.len()];
         let order =
             WidthOrder::from_channels(channels.iter().map(|c| (c.a, c.b, c.total.to_tokens_f64())));
-        NetworkFunds {
-            channels,
-            order,
-            epoch: 0,
-            channel_epochs,
-        }
+        NetworkFunds { channels, order }
     }
 
     /// Uniform funding: every side of every channel gets `per_side`.
@@ -242,34 +231,6 @@ impl NetworkFunds {
         self.channels
             .get_mut(id.index())
             .ok_or(PcnError::UnknownChannel(id))
-    }
-
-    /// The global funds epoch: bumped on every successful balance
-    /// movement ([`NetworkFunds::lock`] / [`NetworkFunds::settle`] /
-    /// [`NetworkFunds::refund`]) anywhere in the network — a superset of
-    /// the depletion/refill events, so any computation over *live*
-    /// balances whose epoch snapshot is unchanged would recompute to the
-    /// same result. Channel *totals* never change (channels keep their
-    /// funds for life), so capacity-only computations need not watch
-    /// this counter.
-    ///
-    /// The routing layer's `PathCache` uses it as the cheap
-    /// "nothing moved at all" fast path; the precise per-entry check is
-    /// [`NetworkFunds::channel_epoch`] over the entry's footprint.
-    pub fn funds_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The per-channel funds epoch of `id`: bumped on every successful
-    /// lock/settle/refund touching that channel, and only that channel.
-    /// A live-balance computation whose channel footprint shows unchanged
-    /// per-channel epochs would recompute to a bit-identical result even
-    /// when the global [`NetworkFunds::funds_epoch`] has moved — the
-    /// scoped-invalidation half of the path-cache contract.
-    ///
-    /// Unknown channels report epoch 0.
-    pub fn channel_epoch(&self, id: ChannelId) -> u64 {
-        self.channel_epochs.get(id.index()).copied().unwrap_or(0)
     }
 
     /// Spendable balance of `id` in direction `from → other`.
@@ -314,9 +275,7 @@ impl NetworkFunds {
                 available,
             },
             other => other,
-        })?;
-        self.bump(id);
-        Ok(())
+        })
     }
 
     /// Settles `amount` on `id` in direction `from → other`.
@@ -325,9 +284,7 @@ impl NetworkFunds {
     ///
     /// See [`ChannelState::settle`].
     pub fn settle(&mut self, id: ChannelId, from: NodeId, amount: Amount) -> Result<()> {
-        self.get_mut(id)?.settle(from, amount)?;
-        self.bump(id);
-        Ok(())
+        self.get_mut(id)?.settle(from, amount)
     }
 
     /// Refunds `amount` on `id` in direction `from → other`.
@@ -336,16 +293,7 @@ impl NetworkFunds {
     ///
     /// See [`ChannelState::refund`].
     pub fn refund(&mut self, id: ChannelId, from: NodeId, amount: Amount) -> Result<()> {
-        self.get_mut(id)?.refund(from, amount)?;
-        self.bump(id);
-        Ok(())
-    }
-
-    /// Advances both the global and the per-channel epoch after a
-    /// successful movement on `id`.
-    fn bump(&mut self, id: ChannelId) {
-        self.epoch += 1;
-        self.channel_epochs[id.index()] += 1;
+        self.get_mut(id)?.refund(from, amount)
     }
 
     /// Appends the state for a channel opened mid-run (the next dense
@@ -358,14 +306,12 @@ impl NetworkFunds {
         let state = ChannelState::new(a, b, fund_a, fund_b);
         self.order.push(a, b, state.total.to_tokens_f64());
         self.channels.push(state);
-        self.channel_epochs.push(0);
     }
 
     /// Resets channel `id`'s *spendable* liquidity to an even split
     /// between its directions (any odd millitoken goes to the `a` side);
     /// locked in-flight value is untouched, so conservation holds by
-    /// construction. Bumps the funds epochs only when balances actually
-    /// move.
+    /// construction.
     ///
     /// # Errors
     ///
@@ -374,14 +320,9 @@ impl NetworkFunds {
         let c = self.get_mut(id)?;
         let spendable = c.bal_ab + c.bal_ba;
         let half = Amount::from_millitokens(spendable.millitokens() / 2);
-        let (new_ab, new_ba) = (spendable - half, half);
-        if (new_ab, new_ba) == (c.bal_ab, c.bal_ba) {
-            return Ok(());
-        }
-        c.bal_ab = new_ab;
-        c.bal_ba = new_ba;
+        c.bal_ab = spendable - half;
+        c.bal_ba = half;
         c.check();
-        self.bump(id);
         Ok(())
     }
 
@@ -501,49 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn funds_epoch_counts_only_successful_movements() {
-        let (mut f, ch) = funds();
-        assert_eq!(f.funds_epoch(), 0);
-        f.lock(ch, n(0), Amount::from_tokens(4)).unwrap();
-        assert_eq!(f.funds_epoch(), 1);
-        // Failed lock: no movement, no bump.
-        assert!(f.lock(ch, n(0), Amount::from_tokens(100)).is_err());
-        assert_eq!(f.funds_epoch(), 1);
-        f.settle(ch, n(0), Amount::from_tokens(2)).unwrap();
-        f.refund(ch, n(0), Amount::from_tokens(2)).unwrap();
-        assert_eq!(f.funds_epoch(), 3);
-        // Failed settle/refund on an empty lock: no bump.
-        assert!(f.settle(ch, n(0), Amount::from_tokens(1)).is_err());
-        assert!(f.refund(ch, n(0), Amount::from_tokens(1)).is_err());
-        assert_eq!(f.funds_epoch(), 3);
-    }
-
-    #[test]
-    fn channel_epochs_are_scoped_to_the_moved_channel() {
-        let mut g = Graph::new(3);
-        let ab = g.add_edge(n(0), n(1));
-        let bc = g.add_edge(n(1), n(2));
-        let mut f = NetworkFunds::uniform(&g, Amount::from_tokens(10));
-        assert_eq!((f.channel_epoch(ab), f.channel_epoch(bc)), (0, 0));
-        f.lock(ab, n(0), Amount::from_tokens(1)).unwrap();
-        f.settle(ab, n(0), Amount::from_tokens(1)).unwrap();
-        // Only the touched channel advanced; the global counter saw both.
-        assert_eq!(f.channel_epoch(ab), 2);
-        assert_eq!(f.channel_epoch(bc), 0);
-        assert_eq!(f.funds_epoch(), 2);
-        f.lock(bc, n(2), Amount::from_tokens(1)).unwrap();
-        f.refund(bc, n(2), Amount::from_tokens(1)).unwrap();
-        assert_eq!(f.channel_epoch(ab), 2);
-        assert_eq!(f.channel_epoch(bc), 2);
-        assert_eq!(f.funds_epoch(), 4);
-        // Failed movements bump nothing.
-        assert!(f.lock(ab, n(0), Amount::from_tokens(100)).is_err());
-        assert_eq!(f.channel_epoch(ab), 2);
-        // Unknown channels report zero.
-        assert_eq!(f.channel_epoch(ChannelId::new(77)), 0);
-    }
-
-    #[test]
     fn add_channel_extends_the_dense_table() {
         let (mut f, ch) = funds();
         assert_eq!(f.len(), 1);
@@ -553,11 +451,11 @@ mod tests {
         assert_eq!(f.balance(new, n(0)), Amount::from_tokens(3));
         assert_eq!(f.balance(new, n(1)), Amount::from_tokens(7));
         assert_eq!(f.total(new), Amount::from_tokens(10));
-        assert_eq!(f.channel_epoch(new), 0);
         // The pre-existing channel is untouched.
         assert_eq!(f.total(ch), Amount::from_tokens(20));
         f.lock(new, n(1), Amount::from_tokens(2)).unwrap();
-        assert_eq!(f.channel_epoch(new), 1);
+        assert_eq!(f.balance(new, n(1)), Amount::from_tokens(5));
+        assert_eq!(f.balance(ch, n(1)), Amount::from_tokens(10));
         assert!(f.verify_conservation());
     }
 
@@ -602,17 +500,24 @@ mod tests {
         f.lock(ch, n(1), Amount::from_tokens(2)).unwrap();
         assert_eq!(f.balance(ch, n(0)), Amount::from_tokens(4));
         assert_eq!(f.balance(ch, n(1)), Amount::from_tokens(14));
-        let epoch = f.funds_epoch();
         f.rebalance_equalize(ch).unwrap();
         // Spendable 18 splits 9/9; the 2 locked tokens stay locked.
         assert_eq!(f.balance(ch, n(0)), Amount::from_tokens(9));
         assert_eq!(f.balance(ch, n(1)), Amount::from_tokens(9));
         assert_eq!(f.locked(ch, n(1)), Amount::from_tokens(2));
-        assert_eq!(f.funds_epoch(), epoch + 1);
         assert!(f.verify_conservation());
-        // Already balanced: a second pass moves nothing and bumps nothing.
+        // Already balanced: a second pass moves nothing.
         f.rebalance_equalize(ch).unwrap();
-        assert_eq!(f.funds_epoch(), epoch + 1);
+        assert_eq!(f.balance(ch, n(0)), Amount::from_tokens(9));
+        assert_eq!(f.balance(ch, n(1)), Amount::from_tokens(9));
+        assert_eq!(f.locked(ch, n(1)), Amount::from_tokens(2));
+        // An odd spendable total leaves the extra millitoken on the a side.
+        f.lock(ch, n(0), Amount::from_millitokens(1)).unwrap();
+        f.rebalance_equalize(ch).unwrap();
+        assert_eq!(
+            f.balance(ch, n(0)) - f.balance(ch, n(1)),
+            Amount::from_millitokens(1)
+        );
         assert!(f.rebalance_equalize(ChannelId::new(9)).is_err());
     }
 

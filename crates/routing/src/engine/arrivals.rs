@@ -12,8 +12,8 @@ use std::sync::Arc;
 use pcn_graph::{max_flow_in, Path};
 use pcn_types::{Amount, NodeId, SimDuration, SimTime, TxId};
 
-use crate::cache::{CacheKey, EpochStamp, PathCache, PlanClass};
-use crate::paths::{select_paths_footprint, select_paths_in, BalanceView, PathSelect};
+use crate::cache::{CacheKey, PathCache, PlanClass};
+use crate::paths::{select_paths_in, BalanceView, PathSelect};
 use crate::rate::RateController;
 use crate::scheme::RouteVia;
 use crate::tu::{split_demand, Payment};
@@ -23,24 +23,22 @@ use super::{Engine, Ev, FlowState, TxState};
 
 /// Routes one capacity-only plan query — `compute` reads the topology
 /// and channel totals, never live balances — through the
-/// epoch-versioned cache (or straight to `compute` when caching is off).
+/// topology-epoch cache (or straight to `compute` when caching is off).
 /// A hit shares the cached `Arc<[Path]>` — exactly what `compute` would
 /// have returned, per the epoch contract — without deep-cloning the
-/// plan. `funds` rides along so a capacity eviction can footprint-check
-/// candidate victims.
+/// plan.
 fn cached_or<F>(
     cache: &mut PathCache,
     use_cache: bool,
     key: CacheKey,
-    now: EpochStamp,
-    funds: &crate::channel::NetworkFunds,
+    epoch: u64,
     compute: F,
 ) -> Arc<[Path]>
 where
     F: FnOnce() -> Vec<Path>,
 {
     if use_cache {
-        cache.get_or_compute(key, now, funds, compute)
+        cache.get_or_compute(key, epoch, compute)
     } else {
         compute().into()
     }
@@ -51,18 +49,16 @@ fn no_paths() -> Arc<[Path]> {
     Vec::new().into()
 }
 
-/// Routes one path-selection query through the freshness regime its
-/// balance view calls for: live views go through the footprint-scoped
-/// entry point (funds movement on unrelated channels keeps them fresh),
-/// capacity-only views through a topology-stamped entry, and with
-/// caching off the query computes directly. Shared by the `Direct` plan
-/// and the inter-hub middle leg.
+/// Runs one path-selection query: a capacity-only view goes through a
+/// topology-stamped cache entry, a live view computes on every plan
+/// (it reads balances, which the cache never watches). Shared by the
+/// `Direct` plan and the inter-hub middle leg.
 #[allow(clippy::too_many_arguments)] // the routing tuple is the paper's Table II axes
 fn cached_select(
     cache: &mut PathCache,
     use_cache: bool,
     key: CacheKey,
-    now: EpochStamp,
+    epoch: u64,
     graph: &pcn_graph::Graph,
     workspace: &mut pcn_graph::SearchWorkspace,
     funds: &crate::channel::NetworkFunds,
@@ -74,24 +70,12 @@ fn cached_select(
     min_w: Amount,
     accel: bool,
 ) -> Arc<[Path]> {
-    if !use_cache {
-        return select_paths_in(
+    let use_cache = use_cache && view == BalanceView::CapacityOnly;
+    cached_or(cache, use_cache, key, epoch, || {
+        select_paths_in(
             graph, workspace, funds, src, dst, k, strategy, view, min_w, accel,
         )
-        .into();
-    }
-    match view {
-        BalanceView::Live => cache.get_or_compute_scoped(key, now, funds, |fp| {
-            select_paths_footprint(
-                graph, workspace, funds, src, dst, k, strategy, view, min_w, accel, fp,
-            )
-        }),
-        BalanceView::CapacityOnly => cache.get_or_compute(key, now, funds, || {
-            select_paths_in(
-                graph, workspace, funds, src, dst, k, strategy, view, min_w, accel,
-            )
-        }),
-    }
+    })
 }
 
 /// Whether a scheme's shared-plan computation runs goal-directed
@@ -261,16 +245,13 @@ impl Engine {
             rng,
             ..
         } = self;
-        let now = EpochStamp {
-            topology: graph.topology_epoch(),
-            funds: funds.funds_epoch(),
-        };
+        let epoch = graph.topology_epoch();
         match &scheme.route_via {
             RouteVia::Direct => cached_select(
                 path_cache,
                 use_cache,
                 CacheKey::plan(p.source, p.dest),
-                now,
+                epoch,
                 graph,
                 workspace,
                 funds,
@@ -292,10 +273,10 @@ impl Engine {
                 // The plan decomposes into legs with very different
                 // volatility: the head (source→hub_s) and tail
                 // (hub_r→dest) access legs are pure topology lookups,
-                // while the hub_s→hub_r middle is a live-balance search
-                // with a bounded channel footprint. Caching the legs
-                // separately lets every payment crossing the same hub
-                // pair share them; composition (and the middle's
+                // cached per client, while the hub_s→hub_r middle runs
+                // on the scheme's balance view: live for Splicer (the
+                // hubs route on fresh state), so computed on every plan
+                // (see `cached_select`). Composition (and the middle's
                 // client-avoidance filter, which depends on the payment's
                 // endpoints) happens per payment. The composed plan is
                 // bit-identical to the old monolithic computation.
@@ -303,8 +284,7 @@ impl Engine {
                     path_cache,
                     use_cache,
                     CacheKey::hub_leg(p.source, hub_s),
-                    now,
-                    funds,
+                    epoch,
                     || {
                         graph
                             .edge_between(p.source, hub_s)
@@ -316,8 +296,7 @@ impl Engine {
                     path_cache,
                     use_cache,
                     CacheKey::hub_leg(hub_r, p.dest),
-                    now,
-                    funds,
+                    epoch,
                     || {
                         graph
                             .edge_between(hub_r, p.dest)
@@ -338,7 +317,7 @@ impl Engine {
                     path_cache,
                     use_cache,
                     CacheKey::hub_middle(hub_s, hub_r),
-                    now,
+                    epoch,
                     graph,
                     workspace,
                     funds,
@@ -366,8 +345,7 @@ impl Engine {
                 path_cache,
                 use_cache,
                 CacheKey::plan(p.source, p.dest),
-                now,
-                funds,
+                epoch,
                 || {
                     // Both toggle arms build each route as
                     // `source → landmark` joined with the **reverse** of
@@ -436,8 +414,7 @@ impl Engine {
                     path_cache,
                     use_cache,
                     CacheKey::plan(p.source, p.dest),
-                    now,
-                    funds,
+                    epoch,
                     || {
                         let Some(first) = graph.edge_between(p.source, hub) else {
                             return Vec::new();
@@ -459,8 +436,7 @@ impl Engine {
                             dest: p.dest,
                             class: PlanClass::Elephant,
                         },
-                        now,
-                        funds,
+                        epoch,
                         || {
                             let res = max_flow_in(graph, workspace, p.source, p.dest, |e| {
                                 Some(funds.total(e.id).millitokens())
@@ -485,8 +461,7 @@ impl Engine {
                             dest: p.dest,
                             class: PlanClass::MicePool,
                         },
-                        now,
-                        funds,
+                        epoch,
                         || {
                             select_paths_in(
                                 graph,
@@ -667,75 +642,27 @@ mod tests {
         assert_eq!(stats.invalidations(), 0, "funds movement must not stale");
     }
 
-    /// The live inter-hub middle leg carries its channel footprint:
-    /// funds movement on unrelated channels keeps it fresh; movement on
-    /// a footprint channel invalidates it (and only it — the topology
-    /// legs still hit).
+    /// A live hub middle is planned on the current balances every time
+    /// and never looked up: on a two-hub multi-star whose hubs share two
+    /// parallel channels, funds moving on the backbone between three
+    /// cross-hub payments swap the widest middle, each plan follows
+    /// `select_paths_in` on the balances of its moment, and the only
+    /// cache lookups are the head and tail access legs.
     #[test]
-    fn hub_middle_leg_invalidates_only_on_footprint_channels() {
+    fn hub_middle_leg_follows_live_balances_without_cache_lookups() {
+        use crate::paths::{select_paths_in, BalanceView, PathSelect};
         let mut g = pcn_graph::Graph::new(6);
-        g.add_edge(n(2), n(0)); // ch0: head (client 2 → hub 0)
-        g.add_edge(n(0), n(1)); // ch1: middle (hub 0 → hub 1)
-        g.add_edge(n(1), n(3)); // ch2: tail (hub 1 → client 3)
-        let island = g.add_edge(n(4), n(5)); // ch3: unreachable from 0
-        let funds = NetworkFunds::uniform(&g, Amount::from_tokens(100));
+        let wide = g.add_edge(n(0), n(1));
+        let narrow = g.add_edge(n(0), n(1));
+        // Clients 2 and 3 on hub 0; 4 and 5 on hub 1.
+        for (hub, client) in [(0, 2), (0, 3), (1, 4), (1, 5)] {
+            g.add_edge(n(hub), n(client));
+        }
+        let funds = NetworkFunds::from_graph(&g, |ch, _| {
+            Amount::from_tokens(if ch == narrow { 60 } else { 100 })
+        });
         let assignment: std::collections::BTreeMap<NodeId, NodeId> =
-            [(n(2), n(0)), (n(3), n(1))].into_iter().collect();
-        let mut engine = Engine::new(
-            g,
-            funds,
-            SchemeConfig::splicer(assignment),
-            EngineConfig::default(),
-            SimRng::seed(8),
-        );
-        let payments = payments_from_tuples(
-            &[(0, 2, 3, 1), (0, 2, 3, 1), (0, 2, 3, 1)],
-            SimDuration::from_secs(3),
-        );
-        let first = engine.plan_paths(&payments[0]);
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].nodes(), [n(2), n(0), n(1), n(3)]);
-        assert_eq!(engine.path_cache.stats().misses, 3, "head, middle, tail");
-        // Unrelated movement: the global funds epoch advances but no
-        // footprint channel does — all three legs hit.
-        engine
-            .funds
-            .lock(island, n(4), Amount::from_tokens(1))
-            .unwrap();
-        let second = engine.plan_paths(&payments[1]);
-        assert_eq!(first[0].nodes(), second[0].nodes());
-        let stats = engine.path_cache.stats();
-        assert_eq!((stats.hits, stats.invalidations()), (3, 0));
-        // Movement on the middle's own channel: only the middle leg is
-        // recomputed.
-        engine
-            .funds
-            .lock(pcn_types::ChannelId::new(1), n(0), Amount::from_tokens(1))
-            .unwrap();
-        let third = engine.plan_paths(&payments[2]);
-        assert_eq!(first[0].nodes(), third[0].nodes());
-        let stats = engine.path_cache.stats();
-        assert_eq!(stats.hits, 5, "head and tail still fresh");
-        assert_eq!(stats.invalidations(), 1, "middle leg recomputed");
-    }
-
-    /// A hub middle's footprint leaves out the client spokes: the
-    /// widest-path search never prices an arc into a single-channel node
-    /// other than its target. On a two-hub multi-star, funds moving on a
-    /// spoke of the source hub keep the cached middle fresh; funds
-    /// moving on the hub-to-hub channel still stale it.
-    #[test]
-    fn hub_middle_leg_survives_client_spoke_moves() {
-        let mut g = pcn_graph::Graph::new(7);
-        let backbone = g.add_edge(n(0), n(1));
-        // Clients 2, 3 and 4 on hub 0; 5 and 6 on hub 1.
-        let spokes: Vec<_> = [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6)]
-            .into_iter()
-            .map(|(hub, client)| g.add_edge(n(hub), n(client)))
-            .collect();
-        let funds = NetworkFunds::uniform(&g, Amount::from_tokens(100));
-        let assignment: std::collections::BTreeMap<NodeId, NodeId> =
-            [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1)]
+            [(2, 0), (3, 0), (4, 1), (5, 1)]
                 .into_iter()
                 .map(|(client, hub)| (n(client), n(hub)))
                 .collect();
@@ -747,32 +674,47 @@ mod tests {
             SimRng::seed(8),
         );
         let payments = payments_from_tuples(
-            &[(0, 2, 5, 1), (0, 2, 5, 1), (0, 2, 5, 1)],
+            &[(0, 2, 4, 1), (0, 2, 4, 1), (0, 2, 4, 1)],
             SimDuration::from_secs(3),
         );
-        let first = engine.plan_paths(&payments[0]);
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].nodes(), [n(2), n(0), n(1), n(5)]);
-        assert_eq!(engine.path_cache.stats().misses, 3, "head, middle, tail");
-        // Hub 0 expands first in every middle search and has the spoke
-        // to client 3, but never prices it: all three legs hit.
-        engine
-            .funds
-            .lock(spokes[1], n(0), Amount::from_tokens(1))
-            .unwrap();
-        let second = engine.plan_paths(&payments[1]);
-        assert_eq!(first[0].nodes(), second[0].nodes());
+        // Before each plan, drain the backbone channel that was widest
+        // until the other one is wider.
+        let moves = [None, Some(wide), Some(narrow)];
+        let mut widest = Vec::new();
+        for (p, moved) in payments.iter().zip(moves) {
+            if let Some(ch) = moved {
+                let tokens = Amount::from_tokens(50);
+                engine.funds.lock(ch, n(0), tokens).unwrap();
+                engine.funds.settle(ch, n(0), tokens).unwrap();
+            }
+            let plan = engine.plan_paths(p);
+            let want = select_paths_in(
+                &engine.graph,
+                &mut pcn_graph::SearchWorkspace::new(),
+                &engine.funds,
+                n(0),
+                n(1),
+                engine.scheme.num_paths,
+                PathSelect::Edw,
+                BalanceView::Live,
+                engine.cfg.min_tu,
+                false,
+            );
+            let middles: Vec<_> = plan
+                .iter()
+                .map(|path| {
+                    let chans = path.channels();
+                    chans[1..chans.len() - 1].to_vec()
+                })
+                .collect();
+            let want: Vec<_> = want.iter().map(|m| m.channels().to_vec()).collect();
+            assert_eq!(middles, want, "the middle of {:?}", p.id);
+            widest.push(middles[0].clone());
+        }
+        assert_eq!(widest, [vec![wide], vec![narrow], vec![wide]]);
         let stats = engine.path_cache.stats();
-        assert_eq!((stats.hits, stats.inv_footprint), (3, 0));
-        engine
-            .funds
-            .lock(backbone, n(0), Amount::from_tokens(1))
-            .unwrap();
-        let third = engine.plan_paths(&payments[2]);
-        assert_eq!(first[0].nodes(), third[0].nodes());
-        let stats = engine.path_cache.stats();
-        assert_eq!(stats.hits, 5, "head and tail still fresh");
-        assert_eq!(stats.inv_footprint, 1, "middle leg recomputed");
+        assert_eq!(stats.lookups(), 6, "head and tail legs only");
+        assert_eq!((stats.misses, stats.invalidations()), (2, 0));
     }
 
     /// Flash's mice pool is cached per (source, dest) and the per-payment

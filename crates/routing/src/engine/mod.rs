@@ -58,9 +58,9 @@
 //!   every event lands at `now`, `now + hop_delay` or the τ tick, so a
 //!   bucketed time wheel turns the scheduler's `O(log n)` heap ops into
 //!   amortized `O(1)` pushes/pops. Ties at equal timestamps pop in
-//!   scheduling order (FIFO) — the determinism contract. The reference
-//!   binary heap ([`EventQueue::with_heap`]) is a test oracle only: the
-//!   property suite pins both backends to one pop sequence, op for op.
+//!   scheduling order (FIFO) — the determinism contract. A plain binary
+//!   heap of `(time, lane, seq)` keys is the test oracle only: the
+//!   property suite pins the queue to its pop sequence, op for op.
 
 mod arena;
 mod arrivals;
@@ -133,13 +133,15 @@ pub struct EngineConfig {
     /// or channel faults can opt into pacing so retries don't pile
     /// onto a stalled cycle (see the crate-level threat model).
     pub retry_backoff: SimDuration,
-    /// Serve path plans from the epoch-versioned [`PathCache`]. The cache
-    /// is semantics-preserving (hits are bit-identical to recomputation,
-    /// pinned by `tests/determinism.rs`), so this toggle is a pure
-    /// memory-versus-CPU trade — the one engine toggle kept for a use
-    /// beyond A/B testing: a cached run holds up to
-    /// [`crate::cache::DEFAULT_CAPACITY`] weight units of plans, an
-    /// uncached run recomputes every plan.
+    /// Serve capacity-only plans (those that read the topology and
+    /// channel totals, never live balances) from the topology-epoch
+    /// [`PathCache`]; live-balance plans are computed on every plan
+    /// either way. The cache is semantics-preserving (hits are
+    /// bit-identical to recomputation, pinned by `tests/determinism.rs`),
+    /// so this toggle is a pure memory-versus-CPU trade — the one engine
+    /// toggle kept for a use beyond A/B testing: a cached run holds up to
+    /// [`crate::cache::DEFAULT_CAPACITY`] plans, an uncached run
+    /// recomputes every plan.
     pub use_path_cache: bool,
     /// Plan the unit-cost searches goal-directed: a bidirectional BFS
     /// inside every KSP, EDS and Heuristic pool search (Flash's mice

@@ -18,8 +18,7 @@
 //! * **Epochs fire.** `Graph::close_channel`/`reopen_channel`/`add_edge`
 //!   bump the topology epoch, so every `PathCache` entry — hub legs
 //!   included — goes provably stale and re-derives lazily on its next
-//!   miss; rebalances bump the funds epochs of exactly the channels they
-//!   move.
+//!   miss. Rebalances move balances only, which no cache entry reads.
 //! * **Dense ids survive.** A closed channel is a tombstone: funds,
 //!   queues, prices and endpoint tables keep their indices. An opened
 //!   channel extends every table by one slot (the endpoint `Arc` is
@@ -214,7 +213,7 @@ impl Engine {
             }
             WorldEvent::Rebalance { policy, .. } => match policy {
                 RebalancePolicy::Equalize => {
-                    // Ascending id order: deterministic epoch sequence.
+                    // Open channels only, in ascending id order.
                     for i in 0..self.funds.len() {
                         let ch = ChannelId::from_index(i);
                         if !self.graph.is_closed(ch) {
@@ -480,8 +479,8 @@ mod tests {
         assert!(engine.funds.verify_conservation());
     }
 
-    /// Rebalance resets drifted spendable balances on every open channel
-    /// (closed tombstones are skipped) and bumps only moved channels.
+    /// Rebalance resets drifted spendable balances on every open channel;
+    /// closed tombstones keep theirs.
     #[test]
     fn rebalance_equalizes_open_channels() {
         let mut g = line(3);
@@ -489,13 +488,14 @@ mod tests {
         let closed = g.add_edge(n(0), n(2));
         g.close_channel(closed).unwrap();
         let funds = NetworkFunds::from_graph(&g, |ch, side| {
-            if ch == drifted && side == n(0) {
-                Amount::from_tokens(10)
-            } else if ch == drifted {
-                Amount::ZERO
-            } else {
-                Amount::from_tokens(4)
-            }
+            let tokens = match (ch == drifted, ch == closed, side == n(0)) {
+                (true, _, true) => 10,
+                (true, _, false) => 0,
+                (_, true, true) => 7,
+                (_, true, false) => 1,
+                _ => 4,
+            };
+            Amount::from_tokens(tokens)
         });
         let timeline = vec![WorldEvent::Rebalance {
             at: SimTime::from_micros(1000),
@@ -513,14 +513,16 @@ mod tests {
         assert_eq!(engine.stats.world_events_applied, 1);
         assert_eq!(engine.funds.balance(drifted, n(0)), Amount::from_tokens(5));
         assert_eq!(engine.funds.balance(drifted, n(1)), Amount::from_tokens(5));
+        let tokens = |ch, side| engine.funds.balance(ch, n(side)).to_tokens_f64();
         assert_eq!(
-            engine.funds.channel_epoch(closed),
-            0,
+            (tokens(closed, 0), tokens(closed, 2)),
+            (7.0, 1.0),
             "closed channels are not rebalanced"
         );
+        let even = ChannelId::new(1);
         assert_eq!(
-            engine.funds.channel_epoch(ChannelId::new(1)),
-            0,
+            (tokens(even, 1), tokens(even, 2)),
+            (4.0, 4.0),
             "already-even channels move nothing"
         );
     }

@@ -17,12 +17,11 @@
 //! * [`paths`] — path selection strategies of Table II (KSP, Heuristic,
 //!   EDW, EDS), each with a `select_paths_in` hot-path variant running on
 //!   a reusable [`pcn_graph::SearchWorkspace`].
-//! * [`cache`] — the epoch-versioned, footprint-scoped [`PathCache`]:
-//!   plan results keyed by `(source, dest, scheme-view class)`, shared
-//!   as `Arc<[Path]>`, and invalidated by topology mutations and the
-//!   funds movements of exactly the channels the computation read (its
-//!   recorded footprint), so a cache hit is bit-identical to
-//!   recomputation (the epoch-invalidation contract).
+//! * [`cache`] — the topology-epoch [`PathCache`]: capacity-only plan
+//!   results keyed by `(source, dest, scheme-view class)`, shared as
+//!   `Arc<[Path]>` and invalidated by topology mutations, so a cache hit
+//!   is bit-identical to recomputation (the epoch-invalidation
+//!   contract). Live-balance plans are computed on every plan.
 //! * [`scheme`] — declarative scheme descriptions: **Splicer**, **Spider**
 //!   \[9\], **Flash** \[10\], **Landmark** \[6,29,30\] and **A2L** \[4\].
 //! * [`engine`] — the event loop binding everything, decomposed by

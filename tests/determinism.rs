@@ -111,18 +111,18 @@ fn path_cache_is_semantics_preserving() {
 
 #[test]
 fn footprint_scoped_cache_under_funds_churn() {
-    // Funds-churn regression for the footprint-scoped cache: hotspot
-    // traffic concentrates payments so channels all over the network
-    // move funds constantly. Two claims:
+    // Funds-churn regression for the path cache (the name is kept from
+    // the footprint-scoped regime it was written for): hotspot traffic
+    // concentrates payments so channels all over the network move funds
+    // constantly. Two claims:
     //
-    // (a) footprint-scoped hits stay bit-identical to recomputation for
-    //     all six schemes (cached ≡ uncached modulo the diagnostic
-    //     counters), and
-    // (b) Splicer — whose live-balance hub plans used to invalidate on
-    //     *any* movement anywhere and sat at ~0% hit rate — now sustains
-    //     a nonzero steady-state hit rate, because funds movements on
-    //     channels outside a plan's footprint no longer stale it and the
-    //     topology-only access legs never stale at all.
+    // (a) cache hits stay bit-identical to recomputation for all six
+    //     schemes (cached ≡ uncached modulo the diagnostic counters),
+    //     and
+    // (b) Splicer sustains a nonzero steady-state hit rate under that
+    //     traffic: its live-balance hub middles are computed on every
+    //     plan and never looked up, while its topology-only access legs
+    //     hit until the topology moves.
     for scheme in [
         SchemeChoice::Splicer,
         SchemeChoice::Spider,
@@ -710,19 +710,15 @@ fn planner_paths_match_golden() {
     // Yen tie-breaks rarely matter. This pins the planner itself on a
     // 300-node world with heavy-tailed funds: 32 fixed pairs × every
     // `PathSelect` × both balance views × goal-directed off/on, one
-    // line per query. Live-view lines also carry the sorted dependency
-    // footprint `select_paths_footprint` records, as its size and an
-    // FNV-1a hash (a footprint covers most of the 1 200 channels). Same
-    // regenerate-and-diff contract as `semantic_runs_match_golden`.
-    // Goal-directed search must not change a single path, so each
-    // `accel=true` line's paths are also asserted equal to its
-    // `accel=false` twin: regenerating the golden for a footprint change
-    // cannot hide a path change. The footprint scope runs on every line:
-    // on CapacityOnly lines it is the heap EDW search beside
-    // `select_paths_in`'s walk of the capacity order, and its paths must
-    // be the same (nothing about it is written to the golden).
-    use pcn_graph::{Footprint, SearchWorkspace};
-    use pcn_routing::paths::{select_paths_footprint, select_paths_in, BalanceView, PathSelect};
+    // line per query. Same regenerate-and-diff contract as
+    // `semantic_runs_match_golden`. Goal-directed search must not change
+    // a single path, so each `accel=true` line's paths are also asserted
+    // equal to its `accel=false` twin. On `EDW CapacityOnly` lines
+    // `select_paths_in` walks the capacity order; the heap EDW search
+    // under the same capacity width must return the same paths (nothing
+    // about it is written to the golden).
+    use pcn_graph::{edge_disjoint_widest_paths_in, EdgeRef, SearchWorkspace};
+    use pcn_routing::paths::{select_paths_in, BalanceView, PathSelect};
     use pcn_types::NodeId;
     use std::fmt::Write;
 
@@ -733,7 +729,10 @@ fn planner_paths_match_golden() {
     let nodes = g.node_count();
     let mut ws = SearchWorkspace::new();
     ws.prepare_landmarks(g);
-    let mut fp = Footprint::new();
+    let capacity_width = |e: EdgeRef| {
+        let w = funds.total(e.id).to_tokens_f64();
+        (w > 0.0 && w >= min_w.to_tokens_f64()).then_some(w)
+    };
     let mut text = String::new();
     for i in 0..32 {
         let src = NodeId::from_index((i * 37 + 5) % nodes);
@@ -751,19 +750,12 @@ fn planner_paths_match_golden() {
                     } else {
                         plain = paths.clone();
                     }
-                    write!(text, "{label}: {}", paths_line(&paths)).unwrap();
-                    let scoped = select_paths_footprint(
-                        g, &mut ws, funds, src, dst, 4, strategy, view, min_w, accel, &mut fp,
-                    );
-                    assert_eq!(scoped, paths, "footprint run diverged: {label}");
-                    if view == BalanceView::Live {
-                        let mut channels: Vec<u32> =
-                            fp.channels().iter().map(|c| c.raw()).collect();
-                        channels.sort_unstable();
-                        let hash = fnv1a(&format!("{channels:?}"));
-                        write!(text, " fp=[n={} hash={hash:016x}]", channels.len()).unwrap();
+                    writeln!(text, "{label}: {}", paths_line(&paths)).unwrap();
+                    if (strategy, view) == (PathSelect::Edw, BalanceView::CapacityOnly) {
+                        let heap =
+                            edge_disjoint_widest_paths_in(g, &mut ws, src, dst, 4, capacity_width);
+                        assert_eq!(heap, paths, "heap EDW diverged from the walk: {label}");
                     }
-                    text.push('\n');
                 }
             }
         }
