@@ -1,28 +1,23 @@
 //! Time-ordered event queue with deterministic tie-breaking.
 //!
-//! Two interchangeable backends implement the same total order —
-//! `(time, scheduling sequence)`, i.e. FIFO among events scheduled for
-//! the same instant:
-//!
-//! * **Calendar queue** ([`EventQueue::new`], the default): a two-level
-//!   bucketed time wheel. Discrete-event simulations schedule almost
-//!   every event a short, fixed distance ahead (`now + hop_delay`, the
-//!   τ tick), so a ring of 1 ms buckets covering the next ~4 s absorbs
-//!   nearly all traffic with O(1) amortized push/pop; the rare
-//!   far-future event (a long deadline) waits in an overflow binary
-//!   heap and migrates into the ring when its bucket comes up. Events
-//!   scheduled for exactly the current instant bypass the ring through
-//!   a FIFO lane, which keeps the extremely common `schedule_at(now, …)`
-//!   pattern (queue drains, immediate injections) allocation-free and
-//!   comparison-free.
-//! * **Binary heap** ([`EventQueue::with_heap`]): the classic
-//!   `BinaryHeap<(time, seq)>` — O(log n) per operation. Kept as the
-//!   reference implementation; the property suite pins the calendar
-//!   queue to pop the exact same `(time, event)` sequence.
+//! The queue pops in one total order — `(time, scheduling sequence)`,
+//! i.e. FIFO among events scheduled for the same instant. It is a
+//! **calendar queue**: a two-level bucketed time wheel. Discrete-event
+//! simulations schedule almost every event a short, fixed distance
+//! ahead (`now + hop_delay`, the τ tick), so a ring of 1 ms buckets
+//! covering the next ~4 s absorbs nearly all traffic with O(1)
+//! amortized push/pop; the rare far-future event (a long deadline)
+//! waits in an overflow binary heap and migrates into the ring when its
+//! bucket comes up. Events scheduled for exactly the current instant
+//! bypass the ring through a FIFO lane, which keeps the extremely
+//! common `schedule_at(now, …)` pattern (queue drains, immediate
+//! injections) allocation-free and comparison-free.
 //!
 //! The tie-break contract is part of the simulator's determinism
-//! guarantee: runs are bit-reproducible regardless of backend or of
-//! either backend's internals.
+//! guarantee: runs are bit-reproducible regardless of the queue's
+//! internals. The tests pin the pop sequence against a plain
+//! `BinaryHeap` of `(time, lane, seq)` keys, the reference model (here
+//! and in the workspace's `tests/property_tests.rs`).
 //!
 //! # The world lane
 //!
@@ -33,7 +28,7 @@
 //! an event on the **world lane**: the total order becomes
 //! `(time, lane, seq)` with the world lane first, so at any timestamp
 //! every world event pops before every normal event, regardless of
-//! scheduling order — on both backends. Within a lane, ties stay FIFO.
+//! scheduling order. Within a lane, ties stay FIFO.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -94,8 +89,8 @@ fn vbucket(t: SimTime) -> u64 {
     t.as_micros() >> BUCKET_BITS
 }
 
-/// The bucketed-time-wheel backend. See the module docs for the design;
-/// the invariants are:
+/// The bucketed time wheel. See the module docs for the design; the
+/// invariants are:
 ///
 /// * `staged` holds the events of virtual bucket `cur_vb`, sorted by
 ///   `(time, lane, seq)`; `now` never precedes the staged bucket's start.
@@ -299,38 +294,13 @@ impl<E> CalendarCore<E> {
     }
 }
 
-/// The reference backend: a plain binary heap over `(time, seq)`.
-struct HeapCore<E> {
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
-}
-
-impl<E> HeapCore<E> {
-    fn new() -> Self {
-        HeapCore {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-// The calendar core is ~600 B larger than the heap core; every queue
-// lives behind one `Engine`, so the size skew is irrelevant and boxing
-// would only add a pointer chase to the hot path.
-#[allow(clippy::large_enum_variant)]
-enum Core<E> {
-    Calendar(CalendarCore<E>),
-    Heap(HeapCore<E>),
-}
-
 /// A discrete-event queue over event type `E`.
 ///
-/// Events scheduled for the same instant pop in scheduling order (FIFO), so
-/// simulation runs are bit-reproducible regardless of the backing data
-/// structure ([`EventQueue::new`] builds the calendar queue,
-/// [`EventQueue::with_heap`] the reference binary heap — both pop the
-/// identical sequence). Popping advances the queue's clock; scheduling
-/// into the past is a bug and panics.
+/// Events scheduled for the same instant pop in scheduling order (FIFO),
+/// so simulation runs are bit-reproducible. Popping advances the queue's
+/// clock; scheduling into the past is a bug and panics.
 pub struct EventQueue<E> {
-    core: Core<E>,
+    core: CalendarCore<E>,
     seq: u64,
     now: SimTime,
 }
@@ -344,13 +314,6 @@ impl<E> Default for EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field(
-                "backend",
-                &match self.core {
-                    Core::Calendar(_) => "calendar",
-                    Core::Heap(_) => "heap",
-                },
-            )
             .field("len", &self.len())
             .field("now", &self.now)
             .finish()
@@ -358,19 +321,10 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty calendar-queue-backed queue at time zero.
+    /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            core: Core::Calendar(CalendarCore::new()),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Creates an empty queue backed by the reference binary heap.
-    pub fn with_heap() -> Self {
-        EventQueue {
-            core: Core::Heap(HeapCore::new()),
+            core: CalendarCore::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -383,10 +337,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.core {
-            Core::Calendar(c) => c.len,
-            Core::Heap(h) => h.heap.len(),
-        }
+        self.core.len
     }
 
     /// Whether the queue has no pending events.
@@ -430,10 +381,7 @@ impl<E> EventQueue<E> {
             event,
         };
         self.seq += 1;
-        match &mut self.core {
-            Core::Calendar(c) => c.push(s, self.now),
-            Core::Heap(h) => h.heap.push(Reverse(s)),
-        }
+        self.core.push(s, self.now);
     }
 
     /// Pre-sizes the internal storage for roughly `per_bucket` events
@@ -441,20 +389,15 @@ impl<E> EventQueue<E> {
     /// run whose event density stays under that figure schedules and
     /// pops without allocating from the start. Without this, ring
     /// buckets warm up lazily — allocation-free only after the ring has
-    /// wrapped once (~4.2 s of simulated time). No-op on the heap
-    /// backend beyond reserving the heap itself.
+    /// wrapped once (~4.2 s of simulated time).
     pub fn preallocate(&mut self, per_bucket: usize) {
-        match &mut self.core {
-            Core::Calendar(c) => {
-                for b in c.buckets.iter_mut() {
-                    b.reserve(per_bucket);
-                }
-                c.staged.reserve(per_bucket * 4);
-                c.at_now.reserve(per_bucket * 4);
-                c.far.reserve(per_bucket * 16);
-            }
-            Core::Heap(h) => h.heap.reserve(per_bucket * NUM_BUCKETS),
+        let c = &mut self.core;
+        for b in c.buckets.iter_mut() {
+            b.reserve(per_bucket);
         }
+        c.staged.reserve(per_bucket * 4);
+        c.at_now.reserve(per_bucket * 4);
+        c.far.reserve(per_bucket * 16);
     }
 
     /// Schedules `event` after `delay` from now.
@@ -468,23 +411,14 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = match &mut self.core {
-            Core::Calendar(c) => c.pop(self.now)?,
-            Core::Heap(h) => {
-                let Reverse(s) = h.heap.pop()?;
-                s
-            }
-        };
+        let s = self.core.pop(self.now)?;
         self.now = s.time;
         Some((s.time, s.event))
     }
 
     /// Time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.core {
-            Core::Calendar(c) => c.peek_time(self.now),
-            Core::Heap(h) => h.heap.peek().map(|Reverse(s)| s.time),
-        }
+        self.core.peek_time(self.now)
     }
 
     /// Drains events up to and including `until`, calling `f` for each.
@@ -511,35 +445,28 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// Both backends, so every behavioural test pins them equally.
-    fn backends() -> [EventQueue<u64>; 2] {
-        [EventQueue::new(), EventQueue::with_heap()]
-    }
-
     #[test]
     fn orders_by_time() {
-        for mut q in [EventQueue::new(), EventQueue::with_heap()] {
-            q.schedule_at(SimTime::from_micros(30), "c");
-            q.schedule_at(SimTime::from_micros(10), "a");
-            q.schedule_at(SimTime::from_micros(20), "b");
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.pop().unwrap().1, "a");
-            assert_eq!(q.pop().unwrap().1, "b");
-            assert_eq!(q.pop().unwrap().1, "c");
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_micros(30), "c");
+        q.schedule_at(SimTime::from_micros(10), "a");
+        q.schedule_at(SimTime::from_micros(20), "b");
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert_eq!(q.pop().unwrap().1, "c");
+        assert!(q.is_empty());
     }
 
     #[test]
     fn fifo_on_ties() {
-        for mut q in backends() {
-            let t = SimTime::from_micros(5);
-            for i in 0..10 {
-                q.schedule_at(t, i);
-            }
-            for i in 0..10 {
-                assert_eq!(q.pop().unwrap().1, i);
-            }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(5);
+        for i in 0..10 {
+            q.schedule_at(t, i);
+        }
+        for i in 0..10 {
+            assert_eq!(q.pop().unwrap().1, i);
         }
     }
 
@@ -548,23 +475,22 @@ mod tests {
         // Events staged earlier for time T must pop before events
         // scheduled *at* T for T (they carry smaller seq), and both
         // before anything later — across bucket boundaries.
-        for mut q in backends() {
-            let t = SimTime::from_micros(50_000);
-            q.schedule_at(t, 0); // staged long in advance
-            q.schedule_at(SimTime::from_micros(10), 1);
-            assert_eq!(q.pop().unwrap().1, 1);
-            q.schedule_at(t, 2); // still ahead of now
-            assert_eq!(q.pop().unwrap(), (t, 0));
-            // now == t: these two join the at-now lane.
-            q.schedule_at(t, 3);
-            q.schedule_at(t + SimDuration::from_micros(1), 5);
-            q.schedule_at(t, 4);
-            assert_eq!(q.pop().unwrap(), (t, 2));
-            assert_eq!(q.pop().unwrap(), (t, 3));
-            assert_eq!(q.pop().unwrap(), (t, 4));
-            assert_eq!(q.pop().unwrap().1, 5);
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(50_000);
+        q.schedule_at(t, 0); // staged long in advance
+        q.schedule_at(SimTime::from_micros(10), 1);
+        assert_eq!(q.pop().unwrap().1, 1);
+        q.schedule_at(t, 2); // still ahead of now
+        assert_eq!(q.pop().unwrap(), (t, 0));
+        // now == t: these two join the at-now lane.
+        q.schedule_at(t, 3);
+        q.schedule_at(t + SimDuration::from_micros(1), 5);
+        q.schedule_at(t, 4);
+        assert_eq!(q.pop().unwrap(), (t, 2));
+        assert_eq!(q.pop().unwrap(), (t, 3));
+        assert_eq!(q.pop().unwrap(), (t, 4));
+        assert_eq!(q.pop().unwrap().1, 5);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -572,21 +498,20 @@ mod tests {
         // Ring horizon is ~4.19 s; 60 s and 3600 s events overflow to
         // the far heap and must still pop in exact order, interleaved
         // with near events scheduled later.
-        for mut q in backends() {
-            q.schedule_at(SimTime::from_micros(3_600_000_000), 9);
-            q.schedule_at(SimTime::from_micros(60_000_000), 7);
-            q.schedule_at(SimTime::from_micros(1_000), 1);
-            assert_eq!(q.pop().unwrap().1, 1);
-            // From t=1ms, 59.999 s ahead is still beyond the horizon.
-            q.schedule_at(SimTime::from_micros(59_000_000), 5);
-            assert_eq!(q.pop().unwrap().1, 5);
-            // Now 60 s is near: schedule a tie — FIFO with the migrated
-            // far event (smaller seq first).
-            q.schedule_at(SimTime::from_micros(60_000_000), 8);
-            assert_eq!(q.pop().unwrap(), (SimTime::from_micros(60_000_000), 7));
-            assert_eq!(q.pop().unwrap(), (SimTime::from_micros(60_000_000), 8));
-            assert_eq!(q.pop().unwrap().1, 9);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_micros(3_600_000_000), 9);
+        q.schedule_at(SimTime::from_micros(60_000_000), 7);
+        q.schedule_at(SimTime::from_micros(1_000), 1);
+        assert_eq!(q.pop().unwrap().1, 1);
+        // From t=1ms, 59.999 s ahead is still beyond the horizon.
+        q.schedule_at(SimTime::from_micros(59_000_000), 5);
+        assert_eq!(q.pop().unwrap().1, 5);
+        // Now 60 s is near: schedule a tie — FIFO with the migrated
+        // far event (smaller seq first).
+        q.schedule_at(SimTime::from_micros(60_000_000), 8);
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(60_000_000), 7));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(60_000_000), 8));
+        assert_eq!(q.pop().unwrap().1, 9);
     }
 
     #[test]
@@ -594,32 +519,30 @@ mod tests {
         // Non-adjacent buckets with wrap-around: the cursor must jump
         // straight to the next occupied bucket, including after the
         // ring index wraps past NUM_BUCKETS.
-        for mut q in backends() {
-            let ms = |m: u64| SimTime::from_micros(m * 1000);
-            q.schedule_at(ms(1), 1);
-            q.schedule_at(ms(4000), 2); // near the end of the first window
-            q.schedule_at(ms(2), 11);
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert_eq!(q.pop().unwrap().1, 11);
-            assert_eq!(q.pop().unwrap().1, 2);
-            // Cursor deep into the ring; wrap into the next window.
-            q.schedule_at(ms(4000) + SimDuration::from_micros(10), 3);
-            q.schedule_at(ms(7000), 4); // wraps modulo NUM_BUCKETS
-            assert_eq!(q.pop().unwrap().1, 3);
-            assert_eq!(q.pop().unwrap().1, 4);
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::new();
+        let ms = |m: u64| SimTime::from_micros(m * 1000);
+        q.schedule_at(ms(1), 1);
+        q.schedule_at(ms(4000), 2); // near the end of the first window
+        q.schedule_at(ms(2), 11);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 11);
+        assert_eq!(q.pop().unwrap().1, 2);
+        // Cursor deep into the ring; wrap into the next window.
+        q.schedule_at(ms(4000) + SimDuration::from_micros(10), 3);
+        q.schedule_at(ms(7000), 4); // wraps modulo NUM_BUCKETS
+        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(q.pop().unwrap().1, 4);
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn clock_advances_on_pop() {
-        for mut q in backends() {
-            q.schedule_after(SimDuration::from_millis(3), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            let (t, _) = q.pop().unwrap();
-            assert_eq!(t, SimTime::from_micros(3_000));
-            assert_eq!(q.now(), t);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_after(SimDuration::from_millis(3), 0);
+        assert_eq!(q.now(), SimTime::ZERO);
+        let (t, _) = q.pop().unwrap();
+        assert_eq!(t, SimTime::from_micros(3_000));
+        assert_eq!(q.now(), t);
     }
 
     #[test]
@@ -632,41 +555,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn scheduling_past_panics_heap() {
-        let mut q = EventQueue::with_heap();
-        q.schedule_at(SimTime::from_micros(10), ());
-        q.pop();
-        q.schedule_at(SimTime::from_micros(5), ());
-    }
-
-    #[test]
     fn run_until_drains_prefix() {
-        for mut q in backends() {
-            for i in 1..=5u64 {
-                q.schedule_at(SimTime::from_micros(i * 10), i);
-            }
-            let mut seen = Vec::new();
-            q.run_until(SimTime::from_micros(30), |_, e, _| seen.push(e));
-            assert_eq!(seen, vec![1, 2, 3]);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.now(), SimTime::from_micros(30));
+        let mut q = EventQueue::new();
+        for i in 1..=5u64 {
+            q.schedule_at(SimTime::from_micros(i * 10), i);
         }
+        let mut seen = Vec::new();
+        q.run_until(SimTime::from_micros(30), |_, e, _| seen.push(e));
+        assert_eq!(seen, vec![1, 2, 3]);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.now(), SimTime::from_micros(30));
     }
 
     #[test]
     fn run_until_handler_can_reschedule() {
-        for mut q in backends() {
-            q.schedule_at(SimTime::from_micros(1), 0u64);
-            let mut count = 0;
-            q.run_until(SimTime::from_micros(100), |t, _, q| {
-                count += 1;
-                if count < 5 {
-                    q.schedule_at(t + SimDuration::from_micros(1), count);
-                }
-            });
-            assert_eq!(count, 5);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_micros(1), 0u64);
+        let mut count = 0;
+        q.run_until(SimTime::from_micros(100), |t, _, q| {
+            count += 1;
+            if count < 5 {
+                q.schedule_at(t + SimDuration::from_micros(1), count);
+            }
+        });
+        assert_eq!(count, 5);
     }
 
     #[test]
@@ -678,25 +590,23 @@ mod tests {
 
     #[test]
     fn peek_does_not_advance() {
-        for mut q in backends() {
-            q.schedule_at(SimTime::from_micros(9), 0);
-            assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
-            assert_eq!(q.now(), SimTime::ZERO);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_micros(9), 0);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
+        assert_eq!(q.now(), SimTime::ZERO);
     }
 
     #[test]
     fn peek_sees_at_now_and_far_events() {
-        for mut q in backends() {
-            assert_eq!(q.peek_time(), None);
-            q.schedule_at(SimTime::from_micros(10_000_000), 1); // far
-            assert_eq!(q.peek_time(), Some(SimTime::from_micros(10_000_000)));
-            q.schedule_at(SimTime::from_micros(40_000), 2); // ring
-            assert_eq!(q.peek_time(), Some(SimTime::from_micros(40_000)));
-            q.pop();
-            q.schedule_at(q.now(), 3); // at-now lane
-            assert_eq!(q.peek_time(), Some(q.now()));
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule_at(SimTime::from_micros(10_000_000), 1); // far
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(10_000_000)));
+        q.schedule_at(SimTime::from_micros(40_000), 2); // ring
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(40_000)));
+        q.pop();
+        q.schedule_at(q.now(), 3); // at-now lane
+        assert_eq!(q.peek_time(), Some(q.now()));
     }
 
     /// World-lane events pop before normal events sharing their
@@ -705,59 +615,58 @@ mod tests {
     /// far in advance.
     #[test]
     fn world_lane_overtakes_normal_events_at_equal_times() {
-        for mut q in backends() {
-            let t = SimTime::from_micros(5_000);
-            q.schedule_at(t, 1); // normal, staged early, smallest seq
-            q.schedule_world_at(t, 100); // world, scheduled later
-            q.schedule_at(t, 2);
-            q.schedule_world_at(t, 101);
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(
-                order,
-                vec![100, 101, 1, 2],
-                "world lane first, FIFO within each lane"
-            );
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(5_000);
+        q.schedule_at(t, 1); // normal, staged early, smallest seq
+        q.schedule_world_at(t, 100); // world, scheduled later
+        q.schedule_at(t, 2);
+        q.schedule_world_at(t, 101);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            vec![100, 101, 1, 2],
+            "world lane first, FIFO within each lane"
+        );
     }
 
     #[test]
     fn world_lane_at_now_overtakes_the_at_now_fifo() {
-        for mut q in backends() {
-            let t = SimTime::from_micros(10);
-            q.schedule_at(t, 0);
-            assert_eq!(q.pop().unwrap(), (t, 0));
-            // now == t: normal events ride the at-now lane; a world
-            // event scheduled afterwards must still pop first.
-            q.schedule_at(t, 1);
-            q.schedule_at(t, 2);
-            q.schedule_world_at(t, 9);
-            assert_eq!(q.pop().unwrap(), (t, 9));
-            assert_eq!(q.pop().unwrap(), (t, 1));
-            assert_eq!(q.pop().unwrap(), (t, 2));
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(10);
+        q.schedule_at(t, 0);
+        assert_eq!(q.pop().unwrap(), (t, 0));
+        // now == t: normal events ride the at-now lane; a world
+        // event scheduled afterwards must still pop first.
+        q.schedule_at(t, 1);
+        q.schedule_at(t, 2);
+        q.schedule_world_at(t, 9);
+        assert_eq!(q.pop().unwrap(), (t, 9));
+        assert_eq!(q.pop().unwrap(), (t, 1));
+        assert_eq!(q.pop().unwrap(), (t, 2));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn world_lane_respects_time_ordering() {
-        for mut q in backends() {
-            q.schedule_world_at(SimTime::from_micros(30), 3);
-            q.schedule_at(SimTime::from_micros(10), 1);
-            // Earlier normal events still pop before later world events.
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert_eq!(q.pop().unwrap().1, 3);
-        }
+        let mut q = EventQueue::new();
+        q.schedule_world_at(SimTime::from_micros(30), 3);
+        q.schedule_at(SimTime::from_micros(10), 1);
+        // Earlier normal events still pop before later world events.
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 3);
     }
 
-    /// The backends pop identical `(time, lane, seq-order)` sequences
-    /// for a deterministic pseudo-random interleaving of schedules and
-    /// pops with heavy timestamp duplication and occasional world-lane
-    /// events (the calendar/heap equivalence in miniature; the full
-    /// property test lives in the workspace `tests/property_tests.rs`).
+    /// The queue pops the sequence a plain `BinaryHeap` of
+    /// `(time, lane, seq)` keys pops, for a deterministic pseudo-random
+    /// interleaving of schedules and pops with heavy timestamp
+    /// duplication and occasional world-lane events (the reference model
+    /// in miniature; the full property test lives in the workspace
+    /// `tests/property_tests.rs`).
     #[test]
     fn backends_agree_on_interleaved_schedules() {
         let mut cal = EventQueue::new();
-        let mut heap = EventQueue::with_heap();
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0u64;
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -770,7 +679,7 @@ mod tests {
             let r = next();
             if r % 3 == 0 && popped < i as u32 {
                 let a = cal.pop();
-                let b = heap.pop();
+                let b = heap.pop().map(|Reverse((t, _, _, e))| (t, e));
                 assert_eq!(a, b, "pop {i}");
                 popped += 1;
             } else {
@@ -787,18 +696,19 @@ mod tests {
                 let at = cal.now() + SimDuration::from_micros(delay);
                 // ~6% of events ride the world lane (a dynamic-world
                 // timeline is sparse next to protocol traffic).
-                if r % 16 == 1 {
-                    cal.schedule_world_at(at, i);
-                    heap.schedule_world_at(at, i);
+                let lane = if r % 16 == 1 {
+                    Lane::World
                 } else {
-                    cal.schedule_after(SimDuration::from_micros(delay), i);
-                    heap.schedule_after(SimDuration::from_micros(delay), i);
-                }
+                    Lane::Normal
+                };
+                cal.schedule_at_in(at, lane, i);
+                heap.push(Reverse((at, lane, seq, i)));
+                seq += 1;
             }
         }
         loop {
             let a = cal.pop();
-            let b = heap.pop();
+            let b = heap.pop().map(|Reverse((t, _, _, e))| (t, e));
             assert_eq!(a, b);
             if a.is_none() {
                 break;

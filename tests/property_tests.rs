@@ -1,7 +1,10 @@
 //! Property-based tests (proptest) over the core invariants, spanning
 //! crates: channel conservation, TU splitting, Shamir round trips, path
 //! algorithm sanity, CSR/reference adjacency equivalence, Lemma-1
-//! optimality and event-queue backend equivalence.
+//! optimality and the event queue against its reference model.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use pcn_crypto::{shamir, Fp};
 use pcn_graph::{edge_disjoint_widest_paths, Graph};
@@ -9,33 +12,60 @@ use pcn_placement::assignment::{balance_cost_for, optimal_assignment};
 use pcn_placement::PlacementInstance;
 use pcn_routing::channel::NetworkFunds;
 use pcn_routing::tu::split_demand;
-use pcn_sim::EventQueue;
-use pcn_types::{Amount, NodeId, SimDuration};
+use pcn_sim::{EventQueue, Lane};
+use pcn_types::{Amount, NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// The event queue's reference model: a plain binary heap over
+/// `(time, lane, scheduling sequence)` keys, the total order the
+/// calendar queue must reproduce.
+#[derive(Default)]
+struct ReferenceQueue {
+    heap: BinaryHeap<Reverse<(SimTime, Lane, u64, usize)>>,
+    seq: u64,
+    now: SimTime,
+}
+
+impl ReferenceQueue {
+    fn schedule(&mut self, at: SimTime, lane: Lane, event: usize) {
+        self.heap.push(Reverse((at, lane, self.seq, event)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let Reverse((time, _, _, event)) = self.heap.pop()?;
+        self.now = time;
+        Some((time, event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((time, ..))| *time)
+    }
+}
+
 proptest! {
-    /// The calendar queue and the reference `BinaryHeap` queue pop
-    /// identical `(time, event)` sequences for arbitrary interleavings
-    /// of schedules and pops — including heavy timestamp duplication
-    /// (delay 0 and a few repeated constants dominate the generator,
-    /// exactly the engine's profile), sub-bucket jitter, and far-future
-    /// outliers that overflow the calendar ring and must migrate back.
-    /// The heap is the test oracle for the engine's calendar queue: one
-    /// total order, `(time, lane, scheduling sequence)` — the
-    /// world lane (dynamic-world timeline events) popping first at equal
-    /// timestamps on both backends.
+    /// The calendar queue and a reference `BinaryHeap` over
+    /// `(time, lane, seq)` pop identical `(time, event)` sequences for
+    /// arbitrary interleavings of schedules and pops — including heavy
+    /// timestamp duplication (delay 0 and a few repeated constants
+    /// dominate the generator, exactly the engine's profile), sub-bucket
+    /// jitter, and far-future outliers that overflow the calendar ring
+    /// and must migrate back. The heap is the test oracle for the
+    /// engine's queue: one total order, `(time, lane, scheduling
+    /// sequence)` — the world lane (dynamic-world timeline events)
+    /// popping first at equal timestamps.
     #[test]
     fn event_queue_backends_pop_identical_sequences(
         ops in prop::collection::vec((0u8..4, 0u8..8, 0u64..20_000_000, 0u8..10), 1..400),
     ) {
         let mut cal = EventQueue::new();
-        let mut heap = EventQueue::with_heap();
+        let mut heap = ReferenceQueue::default();
         for (i, (kind, dup, jitter, lane)) in ops.into_iter().enumerate() {
             if kind == 0 {
                 prop_assert_eq!(cal.peek_time(), heap.peek_time(), "peek at op {}", i);
                 prop_assert_eq!(cal.pop(), heap.pop(), "pop at op {}", i);
-                prop_assert_eq!(cal.len(), heap.len());
-                prop_assert_eq!(cal.now(), heap.now());
+                prop_assert_eq!(cal.len(), heap.heap.len());
+                prop_assert_eq!(cal.now(), heap.now);
             } else {
                 // Delays cluster on duplicated constants with occasional
                 // arbitrary jitter (including beyond the ring horizon).
@@ -47,16 +77,16 @@ proptest! {
                     6 => jitter % 1_000,   // sub-bucket jitter
                     _ => jitter,           // anything up to 20 s (far heap)
                 };
+                let at = cal.now() + SimDuration::from_micros(delay);
                 if lane == 0 {
                     // A sparse sprinkling of world-lane events, landing
                     // on the same duplicated timestamps as the normal
                     // traffic they must overtake.
-                    let at = cal.now() + SimDuration::from_micros(delay);
                     cal.schedule_world_at(at, i);
-                    heap.schedule_world_at(at, i);
+                    heap.schedule(at, Lane::World, i);
                 } else {
                     cal.schedule_after(SimDuration::from_micros(delay), i);
-                    heap.schedule_after(SimDuration::from_micros(delay), i);
+                    heap.schedule(at, Lane::Normal, i);
                 }
             }
         }
@@ -352,7 +382,7 @@ proptest! {
 // ---- WaitQueue scheduling properties (Table II disciplines) ---------------
 
 use pcn_routing::scheduler::{Discipline, WaitQueue};
-use pcn_types::{SimTime, TuId};
+use pcn_types::TuId;
 
 /// Reference implementation of the discipline selection rule: the index
 /// of the entry `pop_eligible` must serve next among `(seq, amount,
