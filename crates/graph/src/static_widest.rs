@@ -4,10 +4,11 @@
 //! (a channel's total capacity, say), the order in which a widest-path
 //! search meets channels is known before the search starts: widest
 //! first. [`WidthOrder`] keeps the channels sorted by `(width desc,
-//! id asc)` beside a dense width column, and
-//! [`edge_disjoint_widest_paths_static_in`] walks that order instead of
-//! popping nodes from a heap. It returns exactly the paths of
-//! [`crate::edge_disjoint_widest_paths_in`] under the same widths.
+//! id asc)` beside a dense width column and each node's channels in the
+//! same order, and [`edge_disjoint_widest_paths_static_in`] walks that
+//! order instead of popping nodes from a heap. It returns exactly the
+//! paths of [`crate::edge_disjoint_widest_paths_in`] under the same
+//! widths.
 //!
 //! # What the heap search computes
 //!
@@ -66,13 +67,33 @@
 //! heap label and parent before level `h` expands. Every node settled in
 //! group `w` gets `W = w`. The search stops when the target settles.
 //!
-//! Only the rebuilt path needs channels. A node `v` whose parent is `u`
-//! takes `u`'s first usable arc to `v`, in adjacency order, whose width
-//! is `≥ W(v)`. For a flood this is the heap's rule (`min(w, c) = w`
-//! iff `c ≥ w`). For a seed, no usable arc from `u` to `v` is wider than
-//! `W(v)`: it would have settled `v` in an earlier group. So `≥` picks
-//! the first arc of width exactly `W(v)`, again the heap's rule; the
-//! walked channel, first in id order, need not be it.
+//! A level node `u` meets its neighbours through its incidence list
+//! ([`WidthOrder::incident`]): its channels widest first, so the walk
+//! stops at the first channel narrower than `w` and never looks at the
+//! rest; closed, banned and graph-unknown channels are skipped on the
+//! way. The order in which one node meets its neighbours sets no label:
+//!
+//! * Within one level, every unsettled head `x` gets `(w, h + 1, u)`
+//!   from the first qualifying channel of its first expander `u`.
+//!   Neither the label nor the parent names the channel, and the
+//!   expanders still come in descending id, so `x`'s label is the same
+//!   whichever of `u`'s channels reaches it first. Which heads a node
+//!   discovers, and in what order they join `next`, may change.
+//! * `next` is re-sorted by id before it expands, so the order in which
+//!   its nodes were discovered is forgotten.
+//! * The early exit at the target can leave a different part of level
+//!   `h + 1` settled. The only labels still in use after it are those on
+//!   the target's parent chain, which rebuilds the path, and those were
+//!   all set before level `h` began to expand.
+//!
+//! Only the rebuilt path needs channels, and `rebuild` still picks them
+//! in adjacency order. A node `v` whose parent is `u` takes `u`'s first
+//! usable arc to `v`, in adjacency order, whose width is `≥ W(v)`. For a
+//! flood this is the heap's rule (`min(w, c) = w` iff `c ≥ w`). For a
+//! seed, no usable arc from `u` to `v` is wider than `W(v)`: it would
+//! have settled `v` in an earlier group. So `≥` picks the first arc of
+//! width exactly `W(v)`, again the heap's rule; the walked channel,
+//! first in id order, need not be it.
 //!
 //! Labels reset in O(1) with generation stamps, and the bans of the
 //! greedy edge-disjoint loop are the workspace's ban mask, as in the heap
@@ -86,12 +107,21 @@ use pcn_types::{ChannelId, NodeId};
 use crate::workspace::{BanMask, StampSet};
 use crate::{Graph, Path, SearchWorkspace};
 
-/// Channels sorted by `(width desc, id asc)`, with a dense width column.
+/// Channels sorted by `(width desc, id asc)`, with a dense width column
+/// and a per-node incidence list.
 ///
 /// Channel ids are dense: the `i`-th channel pushed (or passed to
 /// [`WidthOrder::from_channels`]) is channel `i`. A width never changes
 /// once its channel is in the order, so the order never goes stale;
 /// closed channels stay in it and the search skips them.
+///
+/// [`WidthOrder::incident`] lists each node's channels as `(width,
+/// channel, other end)` in the same order, widest first and ties by
+/// ascending id, so the flood can stop at a node's first channel that is
+/// too narrow. The lists share one flat array with a row-offset table:
+/// 32 bytes per channel (a 16-byte entry at each end) and 4 bytes per
+/// node, beside the 20 bytes per channel of the walk order and the width
+/// column.
 ///
 /// Widths must not be NaN. Channels of width `≤ 0` are kept in the
 /// order but never used.
@@ -102,6 +132,12 @@ pub struct WidthOrder {
     entries: Vec<(ChannelId, NodeId, NodeId)>,
     /// Width of each channel, by id.
     widths: Vec<f64>,
+    /// Every node's `(width, channel, other end)` in walk order; node
+    /// `v`'s are `incidence[offsets[v]..offsets[v + 1]]`.
+    incidence: Vec<(f64, ChannelId, NodeId)>,
+    /// Row starts into `incidence`, one per node up to the largest
+    /// endpoint, then the end (empty in a default order).
+    offsets: Vec<u32>,
 }
 
 impl WidthOrder {
@@ -112,22 +148,46 @@ impl WidthOrder {
         I: IntoIterator<Item = (NodeId, NodeId, f64)>,
     {
         let mut order = WidthOrder::default();
+        let mut nodes = 0;
         for (i, (a, b, width)) in channels.into_iter().enumerate() {
             debug_assert!(!width.is_nan(), "channel widths are not NaN");
             order.entries.push((ChannelId::from_index(i), a, b));
             order.widths.push(width);
+            nodes = nodes.max(a.index().max(b.index()) + 1);
         }
         let widths = &order.widths;
         // Stable sort: equal widths keep ascending id order.
         order
             .entries
             .sort_by(|x, y| widths[y.0.index()].total_cmp(&widths[x.0.index()]));
+        // Count each node's channels, turn the counts into row starts,
+        // then deal the sorted entries out to both ends: every row
+        // inherits the walk order.
+        let mut offsets = vec![0u32; nodes + 1];
+        for &(_, a, b) in &order.entries {
+            offsets[a.index() + 1] += 1;
+            offsets[b.index() + 1] += 1;
+        }
+        for v in 0..nodes {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut fill = offsets.clone();
+        let mut incidence = vec![(0.0, ChannelId::new(0), NodeId::new(0)); 2 * order.entries.len()];
+        for &(id, a, b) in &order.entries {
+            for (u, x) in [(a, b), (b, a)] {
+                incidence[fill[u.index()] as usize] = (widths[id.index()], id, x);
+                fill[u.index()] += 1;
+            }
+        }
+        order.offsets = offsets;
+        order.incidence = incidence;
         order
     }
 
     /// Appends the next dense channel id, between `a` and `b`, with
-    /// `width`, at its place in the order (after every channel at least
-    /// as wide, all of which have smaller ids).
+    /// `width`, at its place in the order and in both ends' incidence
+    /// lists (after every channel at least as wide, all of which have
+    /// smaller ids).
     pub fn push(&mut self, a: NodeId, b: NodeId, width: f64) {
         debug_assert!(!width.is_nan(), "channel widths are not NaN");
         let id = ChannelId::from_index(self.widths.len());
@@ -136,6 +196,22 @@ impl WidthOrder {
             .partition_point(|e| self.widths[e.0.index()] >= width);
         self.entries.insert(at, (id, a, b));
         self.widths.push(width);
+        let nodes = a.index().max(b.index()) + 1;
+        if self.offsets.len() <= nodes {
+            let end = self.offsets.last().copied().unwrap_or(0);
+            self.offsets.resize(nodes + 1, end);
+        }
+        for (u, x) in [(a, b), (b, a)] {
+            let (lo, hi) = (
+                self.offsets[u.index()] as usize,
+                self.offsets[u.index() + 1] as usize,
+            );
+            let at = lo + self.incidence[lo..hi].partition_point(|e| e.0 >= width);
+            self.incidence.insert(at, (width, id, x));
+            for offset in &mut self.offsets[u.index() + 1..] {
+                *offset += 1;
+            }
+        }
     }
 
     /// Width of channel `id`, or `None` for an id the order does not
@@ -148,6 +224,17 @@ impl WidthOrder {
     /// Channel ids in walk order: width descending, then id ascending.
     pub fn channels(&self) -> impl Iterator<Item = ChannelId> + '_ {
         self.entries.iter().map(|e| e.0)
+    }
+
+    /// `v`'s channels as `(width, channel, other end)`, in walk order:
+    /// width descending, then id ascending. Empty for a node no channel
+    /// of the order touches.
+    #[inline]
+    pub fn incident(&self, v: NodeId) -> &[(f64, ChannelId, NodeId)] {
+        match self.offsets.get(v.index()..v.index() + 2) {
+            Some(&[lo, hi]) => &self.incidence[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 }
 
@@ -385,11 +472,14 @@ fn flood(
         level.sort_unstable_by(|x, y| y.cmp(x));
         next.clear();
         for &u in &level {
-            for e in g.out_edges(u) {
-                let x = e.to;
+            for &(c, id, x) in order.incident(u) {
+                if c < w {
+                    break; // the rest of `u`'s channels are narrower still
+                }
                 if s.is_settled(x)
-                    || !order.width(e.id).is_some_and(|c| c >= w)
-                    || bans.channel_banned(e.id)
+                    || id.index() >= g.edge_count()
+                    || g.is_closed(id)
+                    || bans.channel_banned(id)
                     || (s.offered.contains(x.index()) && s.labels[x.index()].hops <= h + 1)
                 {
                     continue;
@@ -572,6 +662,45 @@ mod tests {
             }
         }
         assert!(nonempty > 10_000, "too few reachable pairs: {nonempty}");
+    }
+
+    /// Pushing channels one at a time builds the order and the incidence
+    /// lists that building them at once does, whatever the split, and
+    /// each list holds exactly its node's channels in walk order.
+    #[test]
+    fn push_matches_from_channels() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..200 {
+            let nn = rng.random_range(1..8usize);
+            let channels: Vec<(NodeId, NodeId, f64)> = (0..rng.random_range(0..20))
+                .map(|_| {
+                    let a = rng.random_range(0..nn);
+                    let b = rng.random_range(0..nn);
+                    let w = f64::from(rng.random_range(0..4u32));
+                    (NodeId::from_index(a), NodeId::from_index(b), w)
+                })
+                .filter(|(a, b, _)| a != b)
+                .collect();
+            let whole = WidthOrder::from_channels(channels.iter().copied());
+            let split = rng.random_range(0..=channels.len());
+            let mut pushed = WidthOrder::from_channels(channels[..split].iter().copied());
+            for &(a, b, w) in &channels[split..] {
+                pushed.push(a, b, w);
+            }
+            let walk: Vec<ChannelId> = whole.channels().collect();
+            assert_eq!(pushed.channels().collect::<Vec<_>>(), walk);
+            for v in (0..nn + 1).map(NodeId::from_index) {
+                let want: Vec<(f64, ChannelId, NodeId)> = walk
+                    .iter()
+                    .filter_map(|&c| {
+                        let (a, b, w) = channels[c.index()];
+                        (a == v || b == v).then_some((w, c, if a == v { b } else { a }))
+                    })
+                    .collect();
+                assert_eq!(whole.incident(v), want.as_slice(), "{v} at once");
+                assert_eq!(pushed.incident(v), want.as_slice(), "{v} split at {split}");
+            }
+        }
     }
 
     /// Labels reset by generation stamps, and a clear that wraps a stamp

@@ -173,13 +173,16 @@ impl ChannelState {
 ///
 /// Beside the states, the funds keep the **capacity order**: every
 /// channel id sorted by `(total desc, id asc)`, with its endpoints and
-/// its total in tokens ([`NetworkFunds::capacity_order`]). The
-/// capacity-view EDW search walks it instead of keeping a heap (see
-/// [`pcn_graph::edge_disjoint_widest_paths_static_in`]). A total never
-/// changes once its channel opens, so the order never goes stale;
-/// [`NetworkFunds::from_graph`] builds it, [`NetworkFunds::add_channel`]
-/// inserts into it, and closed channels stay in it (the search skips
-/// them).
+/// its total in tokens, and each node's channels in the same order
+/// ([`NetworkFunds::capacity_order`]). The capacity-view EDW search
+/// walks it instead of keeping a heap (see
+/// [`pcn_graph::edge_disjoint_widest_paths_static_in`]). It costs 52
+/// bytes per channel — 20 for the sorted order and the width column, 32
+/// for the per-node incidence lists (a 16-byte entry at each end) — and
+/// 4 bytes per node. A total never changes once its channel opens, so
+/// the order never goes stale; [`NetworkFunds::from_graph`] builds it,
+/// [`NetworkFunds::add_channel`] inserts into it, and closed channels
+/// stay in it (the search skips them).
 #[derive(Clone, Debug, Default)]
 pub struct NetworkFunds {
     channels: Vec<ChannelState>,
@@ -250,8 +253,9 @@ impl NetworkFunds {
 
     /// Every channel sorted by `(total desc, id asc)`, each with its
     /// endpoints and its total as `to_tokens_f64` — the width the
-    /// capacity view gives it. `to_tokens_f64` is strictly increasing on
-    /// totals below 2^53 millitokens, so sorting by width sorts by
+    /// capacity view gives it — and every node's channels in that order
+    /// ([`WidthOrder::incident`]). `to_tokens_f64` is strictly increasing
+    /// on totals below 2^53 millitokens, so sorting by width sorts by
     /// total.
     pub fn capacity_order(&self) -> &WidthOrder {
         &self.order
@@ -478,6 +482,7 @@ mod tests {
             (2, 0, 1),
             (1, 2, 0),
             (3, 2, 9),
+            (4, 1, 5),
         ] {
             f.add_channel(n(a), n(b), Amount::from_tokens(t), Amount::from_tokens(t));
         }
@@ -486,8 +491,23 @@ mod tests {
         let mut want: Vec<ChannelId> = (0..f.len()).map(ChannelId::from_index).collect();
         want.sort_by_key(|&c| (std::cmp::Reverse(f.total(c)), c));
         assert_eq!(listed, want);
-        for c in listed {
+        for &c in &listed {
             assert_eq!(order.width(c), Some(f.total(c).to_tokens_f64()));
+        }
+        // Every node lists its own channels in the same order, each with
+        // its width and the other end: the ones `from_graph` built and
+        // the ones `add_channel` inserted. Node 4 joins only through
+        // `add_channel`; node 5 touches no channel.
+        for v in (0..6).map(n) {
+            let want: Vec<(f64, ChannelId, NodeId)> = listed
+                .iter()
+                .filter_map(|&c| {
+                    let (a, b) = f.get(c).unwrap().endpoints();
+                    let other = if a == v { b } else { a };
+                    (a == v || b == v).then(|| (f.total(c).to_tokens_f64(), c, other))
+                })
+                .collect();
+            assert_eq!(order.incident(v), want.as_slice(), "node {v}");
         }
     }
 
