@@ -8,6 +8,10 @@
 //! * `e`/`f` — average transaction delay vs total traffic overhead, with
 //!   and without PCHs (small / large) — each an experiment grid over ω,
 //!   run in parallel.
+//!
+//! Each world the chosen panels use (small, large) also reports, once,
+//! how much of its candidate list the §III-B multiwinner election
+//! reproduces (`SystemBuilder::voting_overlap`).
 
 use pcn_harness::{ExperimentGrid, Overrides, RunTuning};
 use pcn_placement::PlacementSolver;
@@ -29,6 +33,7 @@ fn main() {
 
     if ["a", "b", "c", "all"].contains(&w) {
         let scenario = Scenario::build(opts.params(Scale::Small));
+        print_election("small", &scenario);
         if w == "a" || w == "all" {
             println!("\n## (a) Balance cost vs ω (small scale)\n");
             println!("| ω | optimal C_B | approx C_B (double greedy) | MILP-path? |");
@@ -88,6 +93,7 @@ fn main() {
 
     if w == "d" || w == "all" {
         let scenario = Scenario::build(opts.params(Scale::Large));
+        print_election("large", &scenario);
         println!("\n## (d) Smooth nodes vs ω (large scale)\n");
         println!("| ω | smooth nodes |");
         println!("|---|---|");
@@ -101,25 +107,31 @@ fn main() {
         }
     }
 
-    for (panel, scale, title) in [
+    for (panel, scale, world, title) in [
         (
             "e",
             Scale::Small,
+            "small",
             "(e) Small-scale costs: delay vs overhead",
         ),
         (
             "f",
             Scale::Large,
+            "large",
             "(f) Large-scale costs: delay vs overhead",
         ),
     ] {
         if w != panel && w != "all" {
             continue;
         }
+        let params = opts.params(scale);
+        if w == panel {
+            // Under `all`, panels a–d have reported this world already.
+            print_election(world, &Scenario::build(params.clone()));
+        }
         println!("\n## {title}\n");
         println!("| configuration | avg tx delay (s) | total overhead (msgs) |");
         println!("|---|---|---|");
-        let params = opts.params(scale);
         // Without PCHs: source routing (Spider) — a single fixed point.
         let spider = ExperimentGrid::new(params.clone())
             .schemes([SchemeChoice::Spider])
@@ -159,4 +171,12 @@ fn main() {
             );
         }
     }
+}
+
+/// Prints the candidate election's overlap with `scenario`'s candidate
+/// list, once for the named world.
+fn print_election(world: &str, scenario: &Scenario) {
+    let overlap = SystemBuilder::new(scenario.clone()).voting_overlap();
+    println!("\n## Candidate election ({world} scale)\n");
+    println!("elected nodes on the candidate list: {overlap:.3}");
 }

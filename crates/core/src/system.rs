@@ -7,7 +7,6 @@
 //! channel-size distribution.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use pcn_placement::{CostParams, PlacementInstance, PlacementPlan, PlacementSolver};
 use pcn_routing::tu::Payment;
@@ -42,9 +41,6 @@ pub struct RunReport {
     pub stats: RunStats,
     /// Placement decision, for hub-based schemes.
     pub placement: Option<PlacementSummary>,
-    /// Fraction of the scenario's candidate list the multiwinner vote
-    /// reproduces (diagnostic for the trust model).
-    pub voting_overlap: f64,
 }
 
 /// A scheme instance ready to execute.
@@ -63,7 +59,6 @@ pub struct PreparedRun {
     faults: pcn_routing::FaultPlan,
     seed: u64,
     placement: Option<PlacementSummary>,
-    voting_overlap: f64,
 }
 
 impl PreparedRun {
@@ -112,7 +107,6 @@ impl PreparedRun {
             scheme: self.name,
             stats,
             placement: self.placement,
-            voting_overlap: self.voting_overlap,
         }
     }
 }
@@ -127,10 +121,6 @@ pub struct SystemBuilder {
     a2l_crypto: SimDuration,
     flash_threshold: Amount,
     run_seed: u64,
-    /// The election's overlap with the candidate list, computed on the
-    /// first build: it depends only on the scenario, which the builder
-    /// never changes, and every scheme reports it.
-    voting_overlap: OnceLock<f64>,
 }
 
 impl SystemBuilder {
@@ -146,7 +136,6 @@ impl SystemBuilder {
             a2l_crypto: SimDuration::from_millis(42),
             flash_threshold: Amount::from_tokens(40),
             run_seed: 7,
-            voting_overlap: OnceLock::new(),
         }
     }
 
@@ -203,23 +192,28 @@ impl SystemBuilder {
         Ok((inst, plan))
     }
 
-    fn voting_overlap(&self) -> f64 {
-        *self.voting_overlap.get_or_init(|| {
-            let elected = elect_candidates(
-                &self.scenario.flat.graph,
-                &self.scenario.flat.funds,
-                self.scenario.candidates.len(),
-                VotingWeights::default(),
-            );
-            if elected.is_empty() {
-                return 0.0;
-            }
-            let hits = elected
-                .iter()
-                .filter(|e| self.scenario.candidates.contains(e))
-                .count();
-            hits as f64 / elected.len() as f64
-        })
+    /// Runs the §III-B multiwinner election on the flat world and
+    /// returns the fraction of the elected nodes that are on the
+    /// scenario's candidate list (a diagnostic for the trust model; 0
+    /// when nobody is elected).
+    ///
+    /// It runs one BFS per node, so it is computed on each call and no
+    /// run builds it: call it once per world.
+    pub fn voting_overlap(&self) -> f64 {
+        let elected = elect_candidates(
+            &self.scenario.flat.graph,
+            &self.scenario.flat.funds,
+            self.scenario.candidates.len(),
+            VotingWeights::default(),
+        );
+        if elected.is_empty() {
+            return 0.0;
+        }
+        let hits = elected
+            .iter()
+            .filter(|e| self.scenario.candidates.contains(e))
+            .count();
+        hits as f64 / elected.len() as f64
     }
 
     /// The hub backbone: a minimum-spanning skeleton over the hubs'
@@ -319,7 +313,6 @@ impl SystemBuilder {
                 balance_cost: plan.balance_cost(),
                 omega: self.omega,
             }),
-            voting_overlap: self.voting_overlap(),
         })
     }
 
@@ -349,7 +342,6 @@ impl SystemBuilder {
             faults: self.scenario.faults.clone(),
             seed: self.run_seed,
             placement: None,
-            voting_overlap: self.voting_overlap(),
         }
     }
 
@@ -396,7 +388,6 @@ impl SystemBuilder {
             faults: self.scenario.faults.clone(),
             seed: self.run_seed,
             placement: None,
-            voting_overlap: self.voting_overlap(),
         }
     }
 
@@ -492,21 +483,17 @@ mod tests {
         );
     }
 
+    /// The election runs on request, from the scenario alone: the
+    /// overlap is a fraction, the same on every call and on a second
+    /// builder over the same scenario, and at least one elected node is
+    /// on the candidate list of the tiny world.
     #[test]
     fn voting_overlap_reported() {
         let builder = tiny_builder();
-        let overlaps: Vec<f64> = builder
-            .build_all()
-            .unwrap()
-            .into_iter()
-            .map(|run| run.run().voting_overlap)
-            .collect();
-        assert_eq!(overlaps.len(), 5);
-        assert!((0.0..=1.0).contains(&overlaps[0]));
-        assert!(
-            overlaps.iter().all(|&o| o == overlaps[0]),
-            "every scheme reports the same election: {overlaps:?}"
-        );
+        let overlap = builder.voting_overlap();
+        assert!(overlap > 0.0 && overlap <= 1.0, "overlap {overlap}");
+        assert_eq!(builder.voting_overlap(), overlap);
+        assert_eq!(tiny_builder().voting_overlap(), overlap);
     }
 
     #[test]
