@@ -32,7 +32,15 @@
 //!   capacity view, every spur search a goal-directed bidirectional BFS.
 //!
 //! Divide a row's median by the `fig8_pairs` metadata for the time per
-//! plan.
+//! plan. One more row replays Flash's other plan on that trace:
+//!
+//! * `maxflow_elephants_3000n_k4` — Flash's elephant plan: Dinic's max
+//!   flow (`max_flow_in`) under the engine's capacity closure (each
+//!   direction of a channel carries its total), on one warm workspace,
+//!   over the trace's distinct pairs that send an elephant (a payment
+//!   above the Flash threshold `SystemBuilder` sets, 40 tokens), in
+//!   order. Divide by the `elephant_pairs` metadata for the time per
+//!   flow.
 //!
 //! One row times Splicer's planner kernel on the multi-star
 //! `SystemBuilder::build_splicer` builds from that same scenario: every
@@ -65,7 +73,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pcn_graph::{
-    edge_disjoint_widest_paths_in, shortest_path_two_trees_in, EdgeRef, Graph, Path,
+    edge_disjoint_widest_paths_in, max_flow_in, shortest_path_two_trees_in, EdgeRef, Graph, Path,
     SearchWorkspace, Topology,
 };
 use pcn_routing::channel::NetworkFunds;
@@ -139,12 +147,20 @@ fn fig8_world() -> (SystemBuilder, Vec<(NodeId, NodeId)>) {
     params.arrivals_per_sec = 60.0;
     params.seed = 1;
     let scenario = Scenario::build(params);
+    let pairs = distinct_pairs(&scenario, Amount::ZERO);
+    (SystemBuilder::new(scenario), pairs)
+}
+
+/// The distinct (source, dest) pairs of `scenario`'s payments worth more
+/// than `above`, in order.
+fn distinct_pairs(scenario: &Scenario, above: Amount) -> Vec<(NodeId, NodeId)> {
     let pairs: BTreeSet<(NodeId, NodeId)> = scenario
         .payments
         .iter()
+        .filter(|p| p.value > above)
         .map(|p| (p.source, p.dest))
         .collect();
-    (SystemBuilder::new(scenario), pairs.into_iter().collect())
+    pairs.into_iter().collect()
 }
 
 /// One warm EDS plan selection; returns (nanos, settled nodes).
@@ -458,6 +474,32 @@ fn bench_planner(c: &mut Criterion) {
                     K,
                     capacity_width,
                 ));
+            }
+        })
+    });
+
+    // ---- Fig. 8 world: Flash's elephant max flows ---------------------
+    let mut flash_run = builder.build_flash();
+    let mut elephant_threshold = None;
+    flash_run.tune_scheme(|s| {
+        assert_eq!(s.num_paths, K);
+        if let RouteVia::FlashMaxFlow {
+            elephant_threshold: t,
+        } = s.route_via
+        {
+            elephant_threshold = Some(t);
+        }
+    });
+    let elephant_threshold = elephant_threshold.expect("Flash plans elephants by max flow");
+    let elephant_pairs = distinct_pairs(builder.scenario(), elephant_threshold);
+    // The engine's elephant capacity: a channel's total, either way.
+    let capacity = |e: EdgeRef| Some(flat.funds.total(e.id).millitokens());
+    group.metadata("elephant_pairs", elephant_pairs.len());
+    group.throughput(Throughput::Elements(elephant_pairs.len() as u64));
+    group.bench_function(format!("maxflow_elephants_3000n_k{K}"), |b| {
+        b.iter(|| {
+            for &(src, dst) in &elephant_pairs {
+                black_box(max_flow_in(&flat.graph, &mut fig8_ws, src, dst, capacity));
             }
         })
     });

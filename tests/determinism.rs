@@ -110,11 +110,11 @@ fn path_cache_is_semantics_preserving() {
 }
 
 #[test]
-fn footprint_scoped_cache_under_funds_churn() {
-    // Funds-churn regression for the path cache (the name is kept from
-    // the footprint-scoped regime it was written for): hotspot traffic
-    // concentrates payments so channels all over the network move funds
-    // constantly. Two claims:
+fn capacity_cache_is_exact_under_funds_churn() {
+    // Funds-churn regression for the topology-epoch path cache, which
+    // holds capacity-only plans: hotspot traffic concentrates payments
+    // so channels all over the network move funds constantly, and no
+    // funds movement may change a cached plan. Two claims:
     //
     // (a) cache hits stay bit-identical to recomputation for all six
     //     schemes (cached ≡ uncached modulo the diagnostic counters),
