@@ -578,7 +578,7 @@ fn fnv1a(text: &str) -> u64 {
 /// One golden line: every semantic `RunStats` field of one run. The
 /// exhaustive destructure makes a new field a compile error here until
 /// it is either printed or named as diagnostic.
-fn golden_line(spec_name: &str, scheme: SchemeChoice, stats: &pcn_routing::RunStats) -> String {
+fn golden_line(spec_name: &str, scheme: &str, stats: &pcn_routing::RunStats) -> String {
     let pcn_routing::RunStats {
         generated,
         generated_value,
@@ -625,7 +625,7 @@ fn golden_line(spec_name: &str, scheme: SchemeChoice, stats: &pcn_routing::RunSt
          deadlocks={deadlocks_detected} honest={honest_completed}/{honest_generated} \
          stall={max_stall_us} viol={conservation_violations} \
          gd={goal_directed_plans} lr={landmark_rebuilds}",
-        scheme.name(),
+        scheme,
         latency.count(),
         latency.mean(),
         latency.max(),
@@ -658,7 +658,7 @@ fn semantic_runs_match_golden() {
             SchemeChoice::ShortestPath,
         ] {
             let run = run_spec(&spec(scheme));
-            text.push_str(&golden_line(name, scheme, &run.report.stats));
+            text.push_str(&golden_line(name, scheme.name(), &run.report.stats));
             text.push('\n');
         }
     }
@@ -667,6 +667,76 @@ fn semantic_runs_match_golden() {
         &text,
         include_str!("golden/semantic_runs.txt"),
     );
+}
+
+#[test]
+fn fig7_quick_matches_golden_and_the_paper_claims() {
+    // `fig7 a --quick`: `HarnessOpts::params(Scale::Small)` at seed 1
+    // (the small world, 15 s of traffic) swept over three channel
+    // scales, every compared scheme on each world. Each cell is pinned
+    // like the semantic runs above; then the paper's three Fig. 7(a)
+    // claims are asserted with margins below today's values.
+    let mut params = ScenarioParams::small();
+    params.seed = 1;
+    params.duration = pcn_types::SimDuration::from_secs(15);
+    let cells = ExperimentGrid::new(params)
+        .sweep_channel_scale(&[0.5, 2.0, 8.0])
+        .run(2);
+    let mut text = String::new();
+    for c in &cells {
+        text.push_str(&golden_line(&format!("scale {}", c.x), &c.scheme, &c.stats));
+        text.push('\n');
+    }
+    assert_golden(
+        "fig7_quick.txt",
+        &text,
+        include_str!("golden/fig7_quick.txt"),
+    );
+
+    for scale in [0.5, 2.0, 8.0] {
+        let at: Vec<_> = cells.iter().filter(|c| c.x == scale).collect();
+        assert_eq!(at.len(), SchemeChoice::COMPARED.len(), "scale {scale}");
+        let of = |name: &str| {
+            at.iter()
+                .find(|c| c.scheme == name)
+                .unwrap_or_else(|| panic!("no {name} cell at scale {scale}"))
+        };
+        let (splicer, spider) = (of("Splicer"), of("Spider"));
+        for c in &at {
+            // Splicer leads every baseline where channels are scarce
+            // (6.0 points at 0.5×, 4.3 at 2× today).
+            if scale < 8.0 && c.scheme != "Splicer" {
+                assert!(
+                    splicer.stats.tsr() >= c.stats.tsr() + 0.03,
+                    "scale {scale}: Splicer TSR {:.3} must lead {} ({:.3}) by 3 points",
+                    splicer.stats.tsr(),
+                    c.scheme,
+                    c.stats.tsr()
+                );
+            }
+            // With ample funds every scheme succeeds (lowest today:
+            // Spider, 0.954).
+            if scale == 8.0 {
+                assert!(
+                    c.stats.tsr() >= 0.93,
+                    "scale 8: {} TSR {:.3} is below 0.93",
+                    c.scheme,
+                    c.stats.tsr()
+                );
+            }
+            // Spider's per-path probing costs at least 4× the messages
+            // of any other scheme (5.2× today at its thinnest).
+            if c.scheme != "Spider" {
+                assert!(
+                    spider.stats.overhead_msgs >= 4 * c.stats.overhead_msgs,
+                    "scale {scale}: Spider overhead {} must be ≥ 4× {}'s {}",
+                    spider.stats.overhead_msgs,
+                    c.scheme,
+                    c.stats.overhead_msgs
+                );
+            }
+        }
+    }
 }
 
 /// Compares regenerated golden text with the committed file `name`
