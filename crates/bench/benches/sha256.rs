@@ -1,4 +1,4 @@
-//! Microbenchmark for the SHA-256 substrate (HTLC locks, envelopes).
+//! Microbenchmark for the SHA-256 substrate (the envelopes' keystream and tag).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pcn_crypto::Sha256;

@@ -4,10 +4,12 @@
 //! describe the sweep as a `pcn-harness` [`ExperimentGrid`], fan the
 //! cells across worker threads, and print the series the paper plots.
 //! All schemes within a sweep point replay the identical payment trace
-//! (the grid's `Shared` seed policy), so the comparison stays
-//! apples-to-apples while cells run in parallel. Absolute numbers differ
-//! from the paper (different hardware, a simulator instead of LND); the
-//! *shapes* are the reproduction target — see EXPERIMENTS.md.
+//! (each variant builds one world that its scheme cells share), so the
+//! comparison stays apples-to-apples while cells run in parallel.
+//! Absolute numbers differ from the paper (different hardware, a
+//! simulator instead of LND); the *shapes* are the reproduction target,
+//! and `tests/determinism.rs` asserts the Fig. 7(a) ones on the quick
+//! grid.
 
 #![forbid(unsafe_code)]
 

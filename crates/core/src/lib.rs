@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod epoch;
 pub mod schemes;
 pub mod system;
 pub mod voting;

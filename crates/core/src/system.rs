@@ -316,21 +316,6 @@ impl SystemBuilder {
         })
     }
 
-    /// Builds a Splicer run with an explicit scheme override (Table II
-    /// sweeps: path type / path count / scheduler).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SystemBuilder::build_splicer`].
-    pub fn build_splicer_with<F>(&self, tweak: F) -> Result<PreparedRun>
-    where
-        F: FnOnce(&mut SchemeConfig),
-    {
-        let mut run = self.build_splicer()?;
-        tweak(&mut run.scheme);
-        Ok(run)
-    }
-
     fn flat_run(&self, name: &str, scheme: SchemeConfig) -> PreparedRun {
         PreparedRun {
             name: name.into(),
@@ -500,13 +485,12 @@ mod tests {
     fn table2_tweaks_apply() {
         use pcn_routing::paths::PathSelect;
         use pcn_routing::scheduler::Discipline;
-        let run = tiny_builder()
-            .build_splicer_with(|s| {
-                s.path_select = PathSelect::Ksp;
-                s.discipline = Discipline::Edf;
-                s.num_paths = 3;
-            })
-            .unwrap();
+        let mut run = tiny_builder().build_splicer().unwrap();
+        run.tune_scheme(|s| {
+            s.path_select = PathSelect::Ksp;
+            s.discipline = Discipline::Edf;
+            s.num_paths = 3;
+        });
         let report = run.run();
         assert!(report.stats.generated > 0);
     }

@@ -1,20 +1,18 @@
 //! Simulated cryptography substrate for the Splicer workflow (§III-A).
 //!
-//! The paper's payment workflow relies on: a key-management group (KMG)
+//! The paper's payment workflow relies on a key-management group (KMG)
 //! running distributed key generation \[14\] to issue per-transaction key
-//! pairs, public-key envelopes hiding payment demands from intermediaries,
-//! and HTLC hash locks guaranteeing atomic forwarding. None of that
-//! cryptography is the paper's contribution — the system only needs the
-//! *interfaces* and their costs — so this crate provides working but
-//! **deliberately toy** constructions:
+//! pairs, and on public-key envelopes hiding payment demands from
+//! intermediaries. None of that cryptography is the paper's contribution
+//! — the system only needs the *interfaces* and their costs — so this
+//! crate provides working but **deliberately toy** constructions:
 //!
 //! * [`sha256`] — a real, from-scratch SHA-256 (verified against NIST
-//!   vectors); used for HTLC locks and key derivation.
+//!   vectors); the envelopes' keystream and authentication tag.
 //! * [`field`] — arithmetic in GF(p) for the Mersenne prime p = 2⁶¹ − 1.
 //! * [`shamir`] — Shamir secret sharing over that field.
 //! * [`dkg`] — a simulated Joint-Feldman-style DKG for the KMG.
 //! * [`keys`]/[`envelope`] — ElGamal-style key pairs and hybrid envelopes.
-//! * [`htlc`] — hash time-locked contract preimages/locks.
 //!
 //! # Security
 //!
@@ -42,7 +40,6 @@
 pub mod dkg;
 pub mod envelope;
 pub mod field;
-pub mod htlc;
 pub mod keys;
 pub mod rng64;
 pub mod sha256;
@@ -51,6 +48,5 @@ pub mod shamir;
 pub use dkg::KeyManagementGroup;
 pub use envelope::Envelope;
 pub use field::Fp;
-pub use htlc::{HashLock, Preimage};
 pub use keys::{KeyPair, PublicKey, SecretKey};
 pub use sha256::Sha256;

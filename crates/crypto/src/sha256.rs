@@ -1,7 +1,7 @@
 //! SHA-256, implemented from FIPS 180-4.
 //!
-//! Used for HTLC hash locks and as the keystream/KDF primitive of the toy
-//! envelope encryption. Verified against the NIST example vectors.
+//! The keystream and authentication-tag primitive of the toy envelope
+//! encryption. Verified against the NIST example vectors.
 
 /// Incremental SHA-256 hasher.
 ///

@@ -67,8 +67,10 @@
 //!
 //! [`LandmarkTable`] picks a deterministic farthest-point landmark set,
 //! keyed by [`Graph::topology_epoch`] and rebuilt lazily on mismatch. No
-//! search reads it; it stays for the `landmark_rebuilds` counter the
-//! engine reports.
+//! search reads it and the engine no longer refreshes it. It is kept only
+//! because the end-to-end benchmark's planner replay calls
+//! [`SearchWorkspace::prepare_landmarks`], and goes with the next change
+//! to that benchmark.
 
 use pcn_types::NodeId;
 
@@ -111,8 +113,7 @@ impl LandmarkTable {
         &self.landmarks
     }
 
-    /// Rebuilds performed so far — the feed behind the
-    /// `landmark_rebuilds` run counter.
+    /// Rebuilds performed so far.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }

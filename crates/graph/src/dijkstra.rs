@@ -1,9 +1,9 @@
 //! Dijkstra shortest paths with closure-supplied directed edge costs.
 //!
-//! Both entry points exist in two flavours: the classic allocating form
-//! ([`crate::Graph::shortest_path`], [`crate::Graph::shortest_path_tree`]) and a
-//! workspace form (`*_in`) that reuses the buffers of a
-//! [`crate::SearchWorkspace`] so repeated queries run allocation-free.
+//! The point-to-point search exists in two flavours: the classic
+//! allocating form ([`crate::Graph::shortest_path`]) and a workspace form
+//! (`*_in`) that reuses the buffers of a [`crate::SearchWorkspace`] so
+//! repeated queries run allocation-free.
 //! The free functions are generic over [`Topology`], so the same
 //! monomorphized loop runs against the CSR [`Graph`] and the `Vec<Vec>`
 //! [`crate::ReferenceGraph`].
@@ -16,10 +16,9 @@ use pcn_types::{ChannelId, NodeId};
 use crate::cost::Cost;
 use crate::{EdgeRef, Path, SearchWorkspace, Topology};
 
-/// Result of a single-source Dijkstra run: distances and a parent forest.
+/// A single-source shortest-path tree: distances and a parent forest.
 ///
-/// Produced by [`crate::Graph::shortest_path_tree`]; used by landmark routing and
-/// the placement cost model (all-clients-to-candidate hop counts).
+/// Produced by [`crate::shortest_path_two_trees_in`].
 #[derive(Clone, Debug, Default)]
 pub struct ShortestPathTree {
     pub(crate) source: NodeId,
@@ -59,19 +58,10 @@ impl ShortestPathTree {
         rev_chans.reverse();
         Some(Path::new(rev_nodes, rev_chans))
     }
-
-    /// Iterates over `(node, distance)` for every reachable node.
-    pub fn reachable(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_finite())
-            .map(|(i, &d)| (NodeId::from_index(i), d))
-    }
 }
 
 /// Reusable Dijkstra state: distance labels, parent forest, heap, plus a
-/// recycled [`ShortestPathTree`] for the tree queries.
+/// recycled [`ShortestPathTree`] for the goal-directed tree queries.
 #[derive(Debug, Default)]
 pub(crate) struct DijkstraScratch {
     pub(crate) dist: Vec<f64>,
@@ -169,64 +159,6 @@ pub(crate) fn reconstruct(
     rev_nodes.reverse();
     rev_chans.reverse();
     Some(Path::new(rev_nodes, rev_chans))
-}
-
-/// Dijkstra from `from` to all reachable nodes of any [`Topology`]; the
-/// free-function form of [`crate::Graph::shortest_path_tree`].
-pub fn shortest_path_tree<G, F>(g: &G, from: NodeId, cost: F) -> ShortestPathTree
-where
-    G: Topology,
-    F: FnMut(EdgeRef) -> Option<f64>,
-{
-    let n = g.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<(NodeId, ChannelId)>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    let mut settled = 0;
-    relax(
-        g,
-        from,
-        None,
-        cost,
-        &mut dist,
-        &mut parent,
-        &mut heap,
-        &mut settled,
-    );
-    ShortestPathTree {
-        source: from,
-        dist,
-        parent,
-    }
-}
-
-/// [`shortest_path_tree`] into a workspace-owned tree; the free-function
-/// form of [`crate::Graph::shortest_path_tree_in`].
-pub fn shortest_path_tree_in<'a, G, F>(
-    g: &G,
-    ws: &'a mut SearchWorkspace,
-    from: NodeId,
-    cost: F,
-) -> &'a ShortestPathTree
-where
-    G: Topology,
-    F: FnMut(EdgeRef) -> Option<f64>,
-{
-    let s = &mut ws.dijkstra;
-    let n = g.node_count();
-    reset(&mut s.tree.dist, &mut s.tree.parent, &mut s.heap, n);
-    s.tree.source = from;
-    relax(
-        g,
-        from,
-        None,
-        cost,
-        &mut s.tree.dist,
-        &mut s.tree.parent,
-        &mut s.heap,
-        &mut s.settled,
-    );
-    &s.tree
 }
 
 /// Point-to-point Dijkstra on any [`Topology`]; the free-function form of
@@ -379,27 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_distances_and_paths() {
-        let (g, w) = weighted_diamond();
-        let tree = g.shortest_path_tree(n(0), |e| Some(w[e.id.index()]));
-        assert_eq!(tree.source(), n(0));
-        assert_eq!(tree.distance(n(0)), Some(0.0));
-        assert_eq!(tree.distance(n(3)), Some(2.0));
-        let p = tree.path_to(n(3)).unwrap();
-        assert_eq!(p.nodes(), &[n(0), n(1), n(3)]);
-        assert_eq!(tree.reachable().count(), 4);
-    }
-
-    #[test]
-    fn tree_unreachable() {
-        let mut g = Graph::new(3);
-        g.add_edge(n(0), n(1));
-        let tree = g.shortest_path_tree(n(0), |_| Some(1.0));
-        assert_eq!(tree.distance(n(2)), None);
-        assert!(tree.path_to(n(2)).is_none());
-    }
-
-    #[test]
     fn workspace_reuse_matches_fresh_runs() {
         let (g, w) = weighted_diamond();
         let mut ws = SearchWorkspace::new();
@@ -412,24 +323,6 @@ mod tests {
                 (e.id.index() != 0).then(|| w[e.id.index()])
             });
             assert_eq!(blocked.unwrap().0, 6.0);
-        }
-    }
-
-    #[test]
-    fn workspace_tree_matches_owned_tree() {
-        let (g, w) = weighted_diamond();
-        let mut ws = SearchWorkspace::new();
-        // Warm the workspace on a different source first.
-        let _ = g.shortest_path_tree_in(&mut ws, n(3), |e| Some(w[e.id.index()]));
-        let owned = g.shortest_path_tree(n(0), |e| Some(w[e.id.index()]));
-        let reused = g.shortest_path_tree_in(&mut ws, n(0), |e| Some(w[e.id.index()]));
-        assert_eq!(reused.source(), owned.source());
-        for v in g.nodes() {
-            assert_eq!(reused.distance(v), owned.distance(v));
-            assert_eq!(
-                reused.path_to(v).map(|p| p.nodes().to_vec()),
-                owned.path_to(v).map(|p| p.nodes().to_vec())
-            );
         }
     }
 

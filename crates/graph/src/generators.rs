@@ -3,8 +3,8 @@
 //! The paper generates channel graphs "by ROLL [26] based on the
 //! Watts–Strogatz small-world model" (§V-A). ROLL itself is a fast
 //! generation technique; the distribution is what matters, so we implement
-//! Watts–Strogatz directly, plus Barabási–Albert (scale-free, for
-//! ablations), Erdős–Rényi, and the star/multi-star shapes of Fig. 2.
+//! Watts–Strogatz directly, plus the star shape of Fig. 2 and the ring and
+//! complete graphs the tests use.
 //!
 //! All generators take a caller-provided RNG so experiments are
 //! reproducible from a single seed, and all guarantee a connected result
@@ -81,69 +81,6 @@ pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut 
     g
 }
 
-/// Barabási–Albert preferential-attachment graph BA(n, m).
-///
-/// Begins with a clique of `m + 1` nodes; every subsequent node attaches to
-/// `m` distinct existing nodes chosen proportionally to their degree.
-/// Always connected by construction.
-///
-/// # Panics
-///
-/// Panics if `m == 0` or `n <= m`.
-pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Graph {
-    assert!(m >= 1, "m must be positive");
-    assert!(n > m, "need more nodes than attachment count");
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(n * m);
-    // Repeated-endpoint list: sampling from it is degree-proportional.
-    let mut endpoints: Vec<usize> = Vec::new();
-    let seed = m + 1;
-    for a in 0..seed {
-        for b in (a + 1)..seed {
-            pairs.push((NodeId::from_index(a), NodeId::from_index(b)));
-            endpoints.push(a);
-            endpoints.push(b);
-        }
-    }
-    for v in seed..n {
-        // BTreeSet, not HashSet: the emitted edge order (and hence every
-        // downstream channel id) follows set-iteration order, and hash
-        // order varies per process even under a fixed scenario seed.
-        let mut targets = std::collections::BTreeSet::new();
-        let mut guard = 0;
-        while targets.len() < m && guard < 100 * m {
-            let t = endpoints[rng.random_range(0..endpoints.len())];
-            targets.insert(t);
-            guard += 1;
-        }
-        // Fall back to uniform fill if the degree list was too concentrated.
-        while targets.len() < m {
-            targets.insert(rng.random_range(0..v));
-        }
-        for &t in &targets {
-            pairs.push((NodeId::from_index(v), NodeId::from_index(t)));
-            endpoints.push(v);
-            endpoints.push(t);
-        }
-    }
-    Graph::from_edges(n, &pairs)
-}
-
-/// Erdős–Rényi graph G(n, p), patched to be connected.
-pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if rng.random_bool(p) {
-                pairs.push((NodeId::from_index(a), NodeId::from_index(b)));
-            }
-        }
-    }
-    let mut g = Graph::from_edges(n, &pairs);
-    connect(&mut g, rng);
-    g
-}
-
 /// Star graph: node 0 is the hub, all others are leaves (Fig. 2a, the
 /// topology of single-PCH schemes such as TumbleBit/A2L).
 pub fn star(n: usize) -> Graph {
@@ -203,7 +140,7 @@ fn connect<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{average_degree, is_connected};
+    use crate::{bfs_hops, is_connected};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -220,7 +157,39 @@ mod tests {
             "{}",
             g.edge_count()
         );
-        assert!((average_degree(&g) - 6.0).abs() < 0.5);
+        let mean_degree = 2.0 * g.edge_count() as f64 / g.node_count() as f64;
+        assert!((mean_degree - 6.0).abs() < 0.5, "{mean_degree}");
+    }
+
+    #[test]
+    fn ws_small_world_properties() {
+        // Small world: high clustering, short paths.
+        let g = watts_strogatz(200, 8, 0.1, &mut StdRng::seed_from_u64(12));
+        // Mean local clustering over nodes with two or more neighbours.
+        let (mut total, mut counted) = (0.0, 0);
+        for v in g.nodes() {
+            let mut nbrs: Vec<NodeId> = g.neighbors(v).collect();
+            nbrs.sort();
+            nbrs.dedup();
+            if nbrs.len() < 2 {
+                continue;
+            }
+            let mut links = 0;
+            for (i, &a) in nbrs.iter().enumerate() {
+                links += nbrs[i + 1..]
+                    .iter()
+                    .filter(|&&b| g.has_edge_between(a, b))
+                    .count();
+            }
+            total += links as f64 / (nbrs.len() * (nbrs.len() - 1) / 2) as f64;
+            counted += 1;
+        }
+        let clustering = total / counted as f64;
+        assert!(clustering > 0.2, "clustering {clustering}");
+        let hops = bfs_hops(&g, NodeId::new(0));
+        assert!(hops.iter().all(|&h| h != u32::MAX), "connected");
+        let mean_hops = hops.iter().map(|&h| f64::from(h)).sum::<f64>() / (hops.len() - 1) as f64;
+        assert!(mean_hops < 6.0, "mean hops from node 0: {mean_hops}");
     }
 
     #[test]
@@ -248,46 +217,6 @@ mod tests {
     #[should_panic(expected = "k must be even")]
     fn ws_odd_k_panics() {
         watts_strogatz(10, 3, 0.1, &mut StdRng::seed_from_u64(0));
-    }
-
-    #[test]
-    fn ba_scale_free_hubs() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = barabasi_albert(300, 2, &mut rng);
-        assert_eq!(g.node_count(), 300);
-        assert!(is_connected(&g));
-        // Scale-free: max degree far above the mean.
-        let max_deg = g.nodes().map(|v| g.degree(v)).max().unwrap();
-        assert!(max_deg as f64 > 3.0 * average_degree(&g), "max {max_deg}");
-    }
-
-    #[test]
-    fn ba_edge_order_is_canonical() {
-        // Regression for the HashSet→BTreeSet fix: each new node's
-        // attachment edges must be emitted in ascending target order, so
-        // channel ids are a pure function of the seed rather than of the
-        // process's hasher state. (Both orders pass a same-process
-        // determinism check; only the canonical one survives across
-        // processes.)
-        let mut rng = StdRng::seed_from_u64(7);
-        let g = barabasi_albert(120, 3, &mut rng);
-        let edges: Vec<_> = g.edges().map(|c| g.endpoints(c).unwrap()).collect();
-        // Edges for node v (v >= seed nodes) form one contiguous run of
-        // (v, t) pairs; within a run the targets must strictly ascend.
-        for w in edges.windows(2) {
-            let ((a1, b1), (a2, b2)) = (w[0], w[1]);
-            if a1 == a2 && a1.index() >= 4 {
-                assert!(b1 < b2, "targets of {a1:?} not ascending: {b1:?} !< {b2:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn er_connected_patch() {
-        let mut rng = StdRng::seed_from_u64(4);
-        // p low enough that raw G(n,p) would often be disconnected.
-        let g = erdos_renyi(60, 0.02, &mut rng);
-        assert!(is_connected(&g));
     }
 
     #[test]

@@ -657,14 +657,6 @@ impl Graph {
         crate::dijkstra::shortest_path(self, from, to, cost)
     }
 
-    /// Dijkstra from a single source to all reachable nodes.
-    pub fn shortest_path_tree<F>(&self, from: NodeId, cost: F) -> crate::ShortestPathTree
-    where
-        F: FnMut(EdgeRef) -> Option<f64>,
-    {
-        crate::dijkstra::shortest_path_tree(self, from, cost)
-    }
-
     /// [`Graph::shortest_path`] on the reusable buffers of a
     /// [`crate::SearchWorkspace`]: repeated queries are allocation-free
     /// (apart from the returned [`Path`]) and bit-identical to the
@@ -696,21 +688,6 @@ impl Graph {
         F: FnMut(EdgeRef) -> Option<f64>,
     {
         crate::accel::shortest_path_accel_in(self, ws, from, to, cost)
-    }
-
-    /// [`Graph::shortest_path_tree`] into a workspace-owned tree: the
-    /// returned reference borrows the workspace and is overwritten by the
-    /// next tree query on it.
-    pub fn shortest_path_tree_in<'a, F>(
-        &self,
-        ws: &'a mut crate::SearchWorkspace,
-        from: NodeId,
-        cost: F,
-    ) -> &'a crate::ShortestPathTree
-    where
-        F: FnMut(EdgeRef) -> Option<f64>,
-    {
-        crate::dijkstra::shortest_path_tree_in(self, ws, from, cost)
     }
 }
 

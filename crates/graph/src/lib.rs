@@ -124,7 +124,6 @@ mod disjoint;
 mod generators;
 mod graph;
 mod maxflow;
-mod metrics;
 mod path;
 mod reference;
 mod static_widest;
@@ -138,17 +137,14 @@ pub use accel::{
     shortest_path_two_trees_in, LandmarkTable,
 };
 pub use bfs::{bfs_hops, connected_components, is_connected};
-pub use dijkstra::{
-    shortest_path, shortest_path_in, shortest_path_tree, shortest_path_tree_in, ShortestPathTree,
-};
+pub use dijkstra::{shortest_path, shortest_path_in, ShortestPathTree};
 pub use disjoint::{
     edge_disjoint_shortest_paths, edge_disjoint_shortest_paths_in, edge_disjoint_widest_paths,
     edge_disjoint_widest_paths_in,
 };
-pub use generators::{barabasi_albert, complete, erdos_renyi, ring, star, watts_strogatz};
+pub use generators::{complete, ring, star, watts_strogatz};
 pub use graph::{AdjacencyStats, EdgeRef, EdgesOf, Graph};
 pub use maxflow::{max_flow, max_flow_in, FlowPath, MaxFlowResult};
-pub use metrics::{average_degree, clustering_coefficient, degree_histogram, GraphMetrics};
 pub use path::Path;
 pub use reference::ReferenceGraph;
 pub use static_widest::{edge_disjoint_widest_paths_static_in, WidthOrder};

@@ -7,7 +7,7 @@
 //! path selection the engine's dominant allocation site. A
 //! [`SearchWorkspace`] owns all of them; the `*_in` variants of the
 //! search entry points ([`Graph::shortest_path_in`],
-//! [`Graph::shortest_path_tree_in`], [`crate::widest_path_in`],
+//! [`crate::shortest_path_two_trees_in`], [`crate::widest_path_in`],
 //! [`crate::k_shortest_paths_in`], [`crate::max_flow_in`],
 //! [`crate::edge_disjoint_widest_paths_static_in`]) borrow the
 //! workspace and run allocation-free once its buffers have grown to the
@@ -180,7 +180,8 @@ impl SearchWorkspace {
     /// Rebuilds the workspace's [`LandmarkTable`] iff its epoch no
     /// longer matches `g` (see [`LandmarkTable::ensure_fresh`]). Cheap
     /// when fresh: two integer compares, no allocation. No search reads
-    /// the table.
+    /// the table; only the end-to-end benchmark's planner replay calls
+    /// this, and it goes with the next change to that benchmark.
     pub fn prepare_landmarks(&mut self, g: &Graph) {
         self.landmarks.ensure_fresh(g);
     }

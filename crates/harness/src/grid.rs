@@ -23,20 +23,11 @@ pub struct Overrides {
     pub channel_scale: Option<f64>,
     /// Mean transaction value (tokens).
     pub mean_tx_tokens: Option<f64>,
-    /// Arrival rate (tx/sec).
-    pub arrivals_per_sec: Option<f64>,
     /// Channel-churn rate (close + open pairs per second) applied to the
     /// world's timeline — the dynamic-world sweep axis.
     pub churn_per_sec: Option<f64>,
-    /// Fraction of clients that grief (lock hops, never settle) — the
-    /// adversarial sweep axis. Writes `params.adversary.griefer_fraction`;
-    /// if the spec carries no hold time yet, a default 5 s hold (beyond
-    /// the 3 s TU timeout, so every griefed lock times out) is installed.
-    pub griefer_fraction: Option<f64>,
     /// Root seed override (pins a variant to a fixed world).
     pub seed: Option<u64>,
-    /// Expectation override (replaces the grid-wide expectations).
-    pub expect: Option<Expectations>,
     /// Engine/builder tuning (ω, hub funding, τ).
     pub tuning: RunTuning,
     /// Splicer scheme tweaks (Table II / ablation rows).
@@ -51,17 +42,8 @@ impl Overrides {
         if let Some(mean) = self.mean_tx_tokens {
             params.mean_tx_tokens = mean;
         }
-        if let Some(rate) = self.arrivals_per_sec {
-            params.arrivals_per_sec = rate;
-        }
         if let Some(churn) = self.churn_per_sec {
             params.timeline.churn_per_sec = churn;
-        }
-        if let Some(fraction) = self.griefer_fraction {
-            params.adversary.griefer_fraction = fraction;
-            if params.adversary.griefer_hold_ms == 0 {
-                params.adversary.griefer_hold_ms = 5_000;
-            }
         }
         if let Some(seed) = self.seed {
             params.seed = seed;
@@ -80,20 +62,9 @@ pub struct Variant {
     pub overrides: Overrides,
 }
 
-/// How per-cell seeds derive from the grid's root seed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SeedPolicy {
-    /// Every cell uses the base parameters' seed unchanged — all schemes
-    /// and sweep points replay comparable worlds (the figures' setting).
-    #[default]
-    Shared,
-    /// Each variant derives an independent seed from the root via
-    /// SplitMix64, so sweep points are statistically independent while
-    /// any cell remains reproducible from (root seed, variant index).
-    PerVariant,
-}
-
-/// Deterministic per-variant seed derivation (SplitMix64 finalizer).
+/// Deterministic seed derivation from a root seed and an index
+/// (SplitMix64 finalizer): distinct indices give independent,
+/// reproducible seeds.
 pub fn derive_seed(root: u64, index: u64) -> u64 {
     let mut z = root
         .wrapping_add(0x9e37_79b9_7f4a_7c15)
@@ -154,7 +125,6 @@ pub struct ExperimentGrid {
     base_overrides: Overrides,
     schemes: Vec<SchemeChoice>,
     variants: Vec<Variant>,
-    seed_policy: SeedPolicy,
     expectations: Expectations,
 }
 
@@ -167,13 +137,11 @@ impl ExperimentGrid {
             base_overrides: Overrides::default(),
             schemes: SchemeChoice::COMPARED.to_vec(),
             variants: Vec::new(),
-            seed_policy: SeedPolicy::Shared,
             expectations: Expectations::default(),
         }
     }
 
-    /// Sets expectations checked on every cell (a variant's
-    /// `Overrides::expect` replaces them for that variant).
+    /// Sets expectations checked on every cell.
     pub fn expectations(mut self, expect: Expectations) -> Self {
         self.expectations = expect;
         self
@@ -188,12 +156,6 @@ impl ExperimentGrid {
     /// Sets overrides applied to every cell (before variant overrides).
     pub fn base_overrides(mut self, overrides: Overrides) -> Self {
         self.base_overrides = overrides;
-        self
-    }
-
-    /// Selects the per-cell seed policy.
-    pub fn seed_policy(mut self, policy: SeedPolicy) -> Self {
-        self.seed_policy = policy;
         self
     }
 
@@ -254,25 +216,6 @@ impl ExperimentGrid {
         self
     }
 
-    /// Adds an adversarial sweep axis: each point runs every scheme with
-    /// fraction `v` of the clients griefing (0 = the honest world). The
-    /// interesting read-outs are [`RunStats::honest_tsr`] and
-    /// `griefed_locks` per cell — how gracefully each scheme degrades as
-    /// the griefer population grows.
-    pub fn sweep_adversary(mut self, values: &[f64]) -> Self {
-        for &v in values {
-            self = self.variant(
-                format!("griefers {v}"),
-                v,
-                Overrides {
-                    griefer_fraction: Some(v),
-                    ..Overrides::default()
-                },
-            );
-        }
-        self
-    }
-
     /// Adds an update-interval (τ) sweep axis (Fig. 7(c,d)/8(c,d)).
     pub fn sweep_tau_ms(mut self, values: &[u64]) -> Self {
         for &v in values {
@@ -282,24 +225,6 @@ impl ExperimentGrid {
                 Overrides {
                     tuning: RunTuning {
                         update_interval_ms: Some(v),
-                        ..RunTuning::default()
-                    },
-                    ..Overrides::default()
-                },
-            );
-        }
-        self
-    }
-
-    /// Adds a placement-weight (ω) sweep axis (Fig. 9).
-    pub fn sweep_omega(mut self, values: &[f64]) -> Self {
-        for &v in values {
-            self = self.variant(
-                format!("omega {v}"),
-                v,
-                Overrides {
-                    tuning: RunTuning {
-                        omega: Some(v),
                         ..RunTuning::default()
                     },
                     ..Overrides::default()
@@ -327,17 +252,9 @@ impl ExperimentGrid {
             let mut params = self.base.clone();
             self.base_overrides.apply(&mut params);
             variant.overrides.apply(&mut params);
-            if self.seed_policy == SeedPolicy::PerVariant && variant.overrides.seed.is_none() {
-                params.seed = derive_seed(self.base.seed, vi as u64);
-            }
             let tuning = merge_tuning(&self.base_overrides.tuning, &variant.overrides.tuning);
             let scheme_tuning =
                 merge_scheme(&self.base_overrides.scheme, &variant.overrides.scheme);
-            let expect = variant
-                .overrides
-                .expect
-                .or(self.base_overrides.expect)
-                .unwrap_or(self.expectations);
             // One world build serves every scheme of the variant — the
             // apples-to-apples comparison the figures rely on, without
             // regenerating topology and trace per scheme. The slot fills
@@ -352,7 +269,7 @@ impl ExperimentGrid {
                     spec: ScenarioSpec {
                         params: params.clone(),
                         scheme,
-                        expect,
+                        expect: self.expectations,
                     },
                     scenario: Arc::clone(&scenario),
                     tuning,
@@ -484,15 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn per_variant_seeds_differ_but_are_stable() {
-        let grid = tiny_grid().seed_policy(SeedPolicy::PerVariant);
-        let cells = grid.cells();
-        assert_ne!(cells[0].spec.params.seed, cells[2].spec.params.seed);
-        let again = grid.cells();
-        assert_eq!(cells[0].spec.params.seed, again[0].spec.params.seed);
-    }
-
-    #[test]
     fn expectations_flow_through_grid_cells() {
         let unreachable = Expectations {
             min_tsr: Some(1.1),
@@ -601,30 +509,6 @@ mod tests {
         assert_ne!(
             results[0].stats, results[1].stats,
             "churn must actually perturb the run"
-        );
-    }
-
-    #[test]
-    fn adversary_sweep_flows_into_the_spec_and_perturbs_the_run() {
-        let grid = ExperimentGrid::new(ScenarioParams::tiny())
-            .schemes([SchemeChoice::Spider])
-            .sweep_adversary(&[0.0, 0.25]);
-        let cells = grid.cells();
-        assert_eq!(cells[0].spec.params.adversary.griefer_fraction, 0.0);
-        assert_eq!(cells[1].spec.params.adversary.griefer_fraction, 0.25);
-        assert_eq!(
-            cells[1].spec.params.adversary.griefer_hold_ms, 5_000,
-            "the sweep installs a default hold beyond the TU timeout"
-        );
-        let results = grid.run(2);
-        assert_eq!(results[0].stats.griefed_locks, 0, "honest point");
-        assert!(
-            results[1].stats.griefed_locks > 0,
-            "a quarter of the clients griefing must show up in the stats"
-        );
-        assert!(
-            results[1].stats.honest_tsr() >= results[1].stats.tsr(),
-            "griefer payments never complete, so honest TSR ≥ overall TSR"
         );
     }
 

@@ -28,15 +28,16 @@
 //! baselines included, and [`ExperimentGrid::sweep_churn_rate`] sweeps
 //! the dynamic-world churn axis across schemes.
 //!
-//! The adversarial axis rides the same machinery:
-//! [`ExperimentGrid::sweep_adversary`] grows the griefer population per
-//! variant ([`Overrides::griefer_fraction`]), cells surface
-//! `faults_injected` / `griefed_locks` / `deadlocks_detected` /
+//! Adversarial worlds ride the same machinery: a base whose
+//! `ScenarioParams::adversary` carries a fault spec runs it in every
+//! cell, cells surface `faults_injected` / `griefed_locks` /
+//! `deadlocks_detected` /
 //! [`honest_tsr`](pcn_routing::RunStats::honest_tsr) through their
-//! stats, and the spec-level expectation knobs
-//! (`expect_value_conserved`, `expect_honest_min_tsr`,
-//! `expect_bounded_stall`, `expect_no_deadlock`) are checked on every
-//! cell after the run.
+//! stats, and the grid's [`ExperimentGrid::expectations`] (the
+//! `Expectations` that the spec-level `expect_value_conserved`,
+//! `expect_honest_min_tsr`, `expect_bounded_stall` and
+//! `expect_no_deadlock` knobs fill) are checked on every cell after the
+//! run.
 //!
 //! ```
 //! use pcn_harness::ExperimentGrid;
@@ -56,5 +57,5 @@
 mod grid;
 mod run;
 
-pub use grid::{derive_seed, CellResult, CellSpec, ExperimentGrid, Overrides, SeedPolicy, Variant};
+pub use grid::{derive_seed, CellResult, CellSpec, ExperimentGrid, Overrides, Variant};
 pub use run::{run_spec, run_spec_tuned, RunTuning, SchemeTuning, SpecOutcome};

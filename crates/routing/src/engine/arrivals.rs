@@ -78,21 +78,6 @@ fn cached_select(
     })
 }
 
-/// Whether a scheme's shared-plan computation runs goal-directed
-/// point-to-point searches, and therefore whether the workspace's
-/// landmark table is kept fresh for its runs (no search reads the
-/// table; its rebuilds feed `landmark_rebuilds`).
-fn refreshes_landmarks(scheme: &crate::scheme::SchemeConfig) -> bool {
-    match &scheme.route_via {
-        RouteVia::Direct | RouteVia::Hubs { .. } => matches!(
-            scheme.path_select,
-            PathSelect::Ksp | PathSelect::Eds | PathSelect::Heuristic
-        ),
-        RouteVia::FlashMaxFlow { .. } => true,
-        RouteVia::Landmarks { .. } | RouteVia::SingleHub { .. } => false,
-    }
-}
-
 /// Whether this payment's plan goes through a goal-directed computation
 /// when `EngineConfig::use_goal_directed` is on. Purely a function of
 /// the scheme and the payment — identical with or without the cache —
@@ -225,11 +210,6 @@ impl Engine {
         let accel = self.cfg.use_goal_directed && plan_uses_accel(&self.scheme, p);
         if accel {
             self.stats.goal_directed_plans += 1;
-        }
-        if self.cfg.use_goal_directed && refreshes_landmarks(&self.scheme) {
-            // Per plan, not per cache miss: `landmark_rebuilds` stays the
-            // same cached or uncached.
-            self.workspace.prepare_landmarks(&self.graph);
         }
         let k = self.scheme.num_paths.max(1);
         let strategy = self.scheme.path_select;

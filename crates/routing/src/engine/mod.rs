@@ -27,10 +27,10 @@
 //!   through the refund path and bump `Graph::topology_epoch`, so every
 //!   cached plan re-derives lazily on its next miss.
 //!
-//! Simplifications vs. a production deployment, documented per DESIGN.md:
-//! channel processing rate `r_process` is unbounded (congestion arises
-//! from funds, queues and windows); failure unwinding refunds instantly
-//! (the refund messages are counted in overhead but not delayed).
+//! Simplifications vs. a production deployment: channel processing
+//! rate `r_process` is unbounded (congestion arises from funds, queues
+//! and windows); failure unwinding refunds instantly (the refund
+//! messages are counted in overhead but not delayed).
 //!
 //! # The allocation-free hot path
 //!
@@ -433,7 +433,6 @@ impl Engine {
         self.stats.path_cache = self.path_cache.stats();
         self.stats.graph_compactions = self.graph.compactions();
         self.stats.nodes_settled = self.workspace.nodes_settled();
-        self.stats.landmark_rebuilds = self.workspace.landmark_rebuilds();
         // Open channels only: a tombstoned channel's frozen zero side is
         // inert capital, not the deadlock symptom (routing cannot reach
         // it), so dynamic-world runs don't inflate the metric.

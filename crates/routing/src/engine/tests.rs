@@ -415,10 +415,9 @@ fn hot_loop_steady_state_is_allocation_free() {
 fn steady_state_stays_allocation_free_with_goal_directed_planner() {
     // The same saturated-line measurement with a scheme that routes its
     // plans through the goal-directed accelerator (Direct + EDS:
-    // bidirectional BFS searches, with the landmark table kept fresh).
-    // Warmup builds the table and grows the accel scratch; the measured window
-    // must then allocate nothing — the accelerator adds no steady-state
-    // allocation sites.
+    // bidirectional BFS searches). Warmup grows the accel scratch; the
+    // measured window must then allocate nothing — the accelerator adds
+    // no steady-state allocation sites.
     let mut g = Graph::new(4);
     for i in 0..3 {
         g.add_edge(NodeId::from_index(i), NodeId::from_index(i + 1));
@@ -467,10 +466,6 @@ fn steady_state_stays_allocation_free_with_goal_directed_planner() {
     assert!(
         engine.stats.goal_directed_plans > 0,
         "warmup plans must exercise the accelerator"
-    );
-    assert!(
-        engine.workspace.landmark_rebuilds() > 0,
-        "warmup must build the landmark table"
     );
     engine.events.preallocate(16);
     engine.stats.latency.reserve(4096);

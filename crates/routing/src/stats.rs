@@ -90,13 +90,6 @@ pub struct RunStats {
     /// one run; it legitimately differs across the toggle itself, which
     /// is what [`RunStats::without_planner_counters`] is for.
     pub goal_directed_plans: u64,
-    /// Landmark-table rebuilds (lazy, on topology-epoch mismatch).
-    /// Semantic across cache and worker configurations: freshness is
-    /// checked per plan whether or not the cache then absorbs the
-    /// searches. Zero when goal-directed planning is off or the scheme
-    /// runs no unit-cost KSP/EDS/Heuristic or Flash-mice searches. No
-    /// search reads the table.
-    pub landmark_rebuilds: u64,
     /// Nodes settled by every Dijkstra-family search the planner ran
     /// (widest-path and max-flow searches are not counted). A plain
     /// search settles a node at its non-stale heap pop; a goal-directed
@@ -172,7 +165,6 @@ impl PartialEq for RunStats {
             max_stall_us,
             conservation_violations,
             goal_directed_plans,
-            landmark_rebuilds,
             nodes_settled,
             path_cache,
             wall_secs: _,
@@ -200,7 +192,6 @@ impl PartialEq for RunStats {
             && *max_stall_us == other.max_stall_us
             && *conservation_violations == other.conservation_violations
             && *goal_directed_plans == other.goal_directed_plans
-            && *landmark_rebuilds == other.landmark_rebuilds
             && *nodes_settled == other.nodes_settled
             && *path_cache == other.path_cache
     }
@@ -302,7 +293,6 @@ impl RunStats {
                 max_stall_us,
                 conservation_violations,
                 goal_directed_plans,
-                landmark_rebuilds,
                 nodes_settled,
                 path_cache,
                 wall_secs,
@@ -331,7 +321,6 @@ impl RunStats {
             out.max_stall_us = out.max_stall_us.max(*max_stall_us);
             out.conservation_violations += conservation_violations;
             out.goal_directed_plans += goal_directed_plans;
-            out.landmark_rebuilds += landmark_rebuilds;
             out.nodes_settled += nodes_settled;
             out.path_cache.absorb(path_cache);
             out.wall_secs = out.wall_secs.max(*wall_secs);
@@ -352,8 +341,8 @@ impl RunStats {
     }
 
     /// This run with every planner-observability counter zeroed —
-    /// [`RunStats::goal_directed_plans`], [`RunStats::landmark_rebuilds`]
-    /// and [`RunStats::nodes_settled`]. Composed with
+    /// [`RunStats::goal_directed_plans`] and
+    /// [`RunStats::nodes_settled`]. Composed with
     /// [`RunStats::without_cache_counters`], this is the payload that
     /// must be bit-identical when `use_goal_directed` is flipped: the
     /// accelerated searches return the same paths, only the bookkeeping
@@ -361,7 +350,6 @@ impl RunStats {
     pub fn without_planner_counters(&self) -> RunStats {
         RunStats {
             goal_directed_plans: 0,
-            landmark_rebuilds: 0,
             nodes_settled: 0,
             ..self.clone()
         }
@@ -372,16 +360,21 @@ impl core::fmt::Display for RunStats {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "tsr={:.3} throughput={:.3} latency={:.3}s gen={} done={} fail={} overhead={} \
+            "tsr={:.3} throughput={:.3} latency={:.3}s gen={} done={} fail={} unroutable={} \
+             tus={}del/{}abort/{}marked overhead={} \
              drained={} cache={}h/{}m/{}i[{}t/{}fp]/{}e world={}ev/{}exp/{}gc \
              adv={}f/{}g/{}dl stall={}us honest={}/{} viol={} \
-             planner={}gd/{}lr/{}ns pps={:.0}",
+             planner={}gd/{}ns pps={:.0}",
             self.tsr(),
             self.normalized_throughput(),
             self.avg_latency_secs(),
             self.generated,
             self.completed,
             self.failed,
+            self.unroutable,
+            self.delivered_tus,
+            self.aborted_tus,
+            self.marked_tus,
             self.overhead_msgs,
             self.drained_directions_end,
             self.path_cache.hits,
@@ -401,7 +394,6 @@ impl core::fmt::Display for RunStats {
             self.honest_generated,
             self.conservation_violations,
             self.goal_directed_plans,
-            self.landmark_rebuilds,
             self.nodes_settled,
             self.payments_per_sec(),
         )
@@ -454,11 +446,17 @@ mod tests {
             },
             world_events_applied: 6,
             tus_expired_by_close: 2,
+            unroutable: 1,
+            delivered_tus: 9,
+            aborted_tus: 4,
+            marked_tus: 3,
             ..Default::default()
         };
         let shown = s.to_string();
         assert!(shown.contains("tsr=1.000"));
         assert!(shown.contains("gen=5"));
+        assert!(shown.contains("unroutable=1"), "{shown}");
+        assert!(shown.contains("tus=9del/4abort/3marked"), "{shown}");
         assert!(
             shown.contains("cache=3h/2m/3i[1t/2fp]/4e"),
             "per-cause invalidation breakdown must be visible: {shown}"
@@ -470,11 +468,10 @@ mod tests {
     fn display_surfaces_planner_counters() {
         let s = RunStats {
             goal_directed_plans: 11,
-            landmark_rebuilds: 3,
             nodes_settled: 999,
             ..Default::default()
         };
-        assert!(s.to_string().contains("planner=11gd/3lr/999ns"));
+        assert!(s.to_string().contains("planner=11gd/999ns"));
     }
 
     #[test]
@@ -482,7 +479,6 @@ mod tests {
         let mut a = sample_run();
         let mut b = sample_run();
         a.goal_directed_plans = 0;
-        a.landmark_rebuilds = 0;
         a.nodes_settled = 0;
         b.path_cache.hits += 1;
         assert_ne!(a, b.without_planner_counters());
@@ -518,7 +514,6 @@ mod tests {
             max_stall_us: 250,
             conservation_violations: 1,
             goal_directed_plans: 7,
-            landmark_rebuilds: 2,
             nodes_settled: 480,
             path_cache: PathCacheStats {
                 hits: 9,

@@ -2,10 +2,10 @@
 //!
 //! The evaluation needs: exponential inter-arrival times (Poisson
 //! transaction processes), a log-normal fitted to the Lightning channel
-//! size statistics, a heavy-tailed transaction value distribution shaped
-//! like the credit-card dataset, and Zipf-skewed endpoint choice. Rather
-//! than pulling `rand_distr`, the samplers live here (see the dependency
-//! policy in DESIGN.md) with moment tests backing them.
+//! size statistics, a heavy-tailed log-normal for transaction values,
+//! and Zipf-skewed endpoint choice. Rather than pulling `rand_distr` (the
+//! workspace builds offline, with no crates.io dependency), the samplers
+//! live here with moment tests backing them.
 
 use crate::SimRng;
 
@@ -104,69 +104,6 @@ impl LogNormal {
     }
 }
 
-/// Pareto (type I) distribution: support `[scale, ∞)`, tail index `alpha`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Pareto {
-    scale: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto with minimum `scale` and shape `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both are positive and finite.
-    pub fn new(scale: f64, alpha: f64) -> Self {
-        assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
-        assert!(alpha.is_finite() && alpha > 0.0, "alpha must be positive");
-        Pareto { scale, alpha }
-    }
-
-    /// Draws a sample (inverse CDF).
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.scale / (1.0 - rng.f64()).powf(1.0 / self.alpha)
-    }
-}
-
-/// Poisson distribution (Knuth's method below mean 30, normal
-/// approximation above).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Poisson {
-    mean: f64,
-}
-
-impl Poisson {
-    /// Creates a Poisson with the given mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `mean > 0` and finite.
-    pub fn new(mean: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0, "mean must be positive");
-        Poisson { mean }
-    }
-
-    /// Draws a sample.
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        if self.mean < 30.0 {
-            let l = (-self.mean).exp();
-            let mut k = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= rng.f64();
-                if p <= l {
-                    return k;
-                }
-                k += 1;
-            }
-        } else {
-            let s = StandardNormal.sample(rng);
-            (self.mean + self.mean.sqrt() * s).round().max(0.0) as u64
-        }
-    }
-}
-
 /// Zipf distribution over ranks `1..=n` with exponent `s`.
 ///
 /// Used for skewed endpoint popularity: a few "merchant" clients receive a
@@ -199,45 +136,6 @@ impl Zipf {
     }
 
     /// Draws a rank in `[0, n)` (0 = most popular).
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
-        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
-}
-
-/// Discrete distribution over arbitrary weights.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WeightedIndex {
-    cdf: Vec<f64>,
-}
-
-impl WeightedIndex {
-    /// Creates a weighted sampler; weights must be non-negative with a
-    /// positive sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty/negative/zero-sum weights.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "need at least one weight");
-        let mut cdf = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in weights {
-            assert!(w.is_finite() && w >= 0.0, "weights must be non-negative");
-            acc += w;
-            cdf.push(acc);
-        }
-        assert!(acc > 0.0, "weights must not all be zero");
-        for v in cdf.iter_mut() {
-            *v /= acc;
-        }
-        WeightedIndex { cdf }
-    }
-
-    /// Draws an index proportionally to its weight.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.f64();
         match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
@@ -299,28 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_minimum_respected() {
-        let mut rng = SimRng::seed(4);
-        let d = Pareto::new(10.0, 2.5);
-        let xs: Vec<f64> = (0..20_000).map(|_| d.sample(&mut rng)).collect();
-        assert!(xs.iter().all(|&x| x >= 10.0));
-        // mean = scale * alpha / (alpha - 1) = 10 * 2.5/1.5 ≈ 16.67
-        let m = mean_of(&xs);
-        assert!((m - 16.67).abs() < 1.0, "mean {m}");
-    }
-
-    #[test]
-    fn poisson_small_and_large_mean() {
-        let mut rng = SimRng::seed(5);
-        for mean in [0.5, 3.0, 20.0, 100.0] {
-            let d = Poisson::new(mean);
-            let xs: Vec<f64> = (0..30_000).map(|_| d.sample(&mut rng) as f64).collect();
-            let m = mean_of(&xs);
-            assert!((m - mean).abs() / mean < 0.08, "mean {mean}: sampled {m}");
-        }
-    }
-
-    #[test]
     fn zipf_rank_ordering() {
         let mut rng = SimRng::seed(6);
         let d = Zipf::new(20, 1.2);
@@ -350,28 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_proportions() {
-        let mut rng = SimRng::seed(8);
-        let d = WeightedIndex::new(&[1.0, 0.0, 3.0]);
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[d.sample(&mut rng)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-    }
-
-    #[test]
     #[should_panic(expected = "mean must exceed median")]
     fn lognormal_bad_fit_panics() {
         LogNormal::fit_median_mean(100.0, 50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "weights must not all be zero")]
-    fn weighted_zero_sum_panics() {
-        WeightedIndex::new(&[0.0, 0.0]);
     }
 
     #[test]

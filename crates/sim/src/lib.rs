@@ -8,10 +8,9 @@
 //! * [`SimRng`] — a seeded RNG wrapper with labelled forking, so each
 //!   subsystem (topology, workload, routing jitter) draws from an
 //!   independent, reproducible stream.
-//! * [`dist`] — sampling distributions (exponential, Poisson, log-normal,
-//!   Pareto, Zipf, empirical) implemented from first principles.
-//! * [`metrics`] — counters, histograms and time series used by the
-//!   evaluation harness.
+//! * [`dist`] — sampling distributions (exponential, normal, log-normal,
+//!   Zipf) implemented from first principles.
+//! * [`metrics`] — the latency histogram every run records.
 //!
 //! # Examples
 //!

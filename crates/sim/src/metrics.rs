@@ -1,33 +1,5 @@
 //! Measurement primitives for experiment runs.
 
-use pcn_types::SimTime;
-
-/// A monotonically increasing counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Counter {
-        Counter(0)
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
 /// A streaming histogram over non-negative `f64` values.
 ///
 /// Values are recorded exactly (stored); quantiles sort lazily. The
@@ -117,76 +89,9 @@ impl Histogram {
     }
 }
 
-/// A `(time, value)` series, recorded in nondecreasing time order.
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> TimeSeries {
-        TimeSeries::default()
-    }
-
-    /// Appends a point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the last recorded time.
-    pub fn record(&mut self, t: SimTime, v: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(t >= last, "time series must be recorded in order");
-        }
-        self.points.push((t, v));
-    }
-
-    /// All points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Mean of values recorded at or after `from`.
-    pub fn mean_since(&self, from: SimTime) -> f64 {
-        let (sum, n) = self
-            .points
-            .iter()
-            .filter(|(t, _)| *t >= from)
-            .fold((0.0, 0usize), |(s, n), (_, v)| (s + v, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
-    /// Last value (None when empty).
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_ops() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn histogram_statistics() {
@@ -235,26 +140,5 @@ mod tests {
         let mut empty = Histogram::new();
         empty.merge(&a);
         assert_eq!(empty, a, "merge into empty must reproduce the source");
-    }
-
-    #[test]
-    fn timeseries_order_and_queries() {
-        let mut ts = TimeSeries::new();
-        assert!(ts.is_empty());
-        ts.record(SimTime::from_micros(1), 10.0);
-        ts.record(SimTime::from_micros(5), 20.0);
-        ts.record(SimTime::from_micros(9), 30.0);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts.last(), Some(30.0));
-        assert_eq!(ts.mean_since(SimTime::from_micros(5)), 25.0);
-        assert_eq!(ts.mean_since(SimTime::from_micros(100)), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "recorded in order")]
-    fn timeseries_out_of_order_panics() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_micros(5), 1.0);
-        ts.record(SimTime::from_micros(1), 2.0);
     }
 }

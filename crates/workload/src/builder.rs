@@ -264,13 +264,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Channel churn rate: one close + open pair per `1 / per_sec`
-    /// seconds (the grid's churn-sweep knob; shorthand for
-    /// `timeline(|t| t.churn(per_sec))`).
-    pub fn churn_rate(self, per_sec: f64) -> Self {
-        self.timeline(|t| t.churn(per_sec))
-    }
-
     /// Edits the adversary through an
     /// [`AdversaryBuilder`](crate::adversary::AdversaryBuilder) chain
     /// (repeated calls accumulate onto the same spec):
@@ -533,7 +526,7 @@ mod tests {
         let spec = ScenarioBuilder::tiny()
             .timeline(|t| t.hub_outage(3.0, 0, 6.0))
             .timeline(|t| t.rate_shift(2.0, 2.0))
-            .churn_rate(0.5)
+            .timeline(|t| t.churn(0.5))
             .build();
         assert_eq!(spec.params.timeline.hub_outages.len(), 1);
         assert_eq!(spec.params.timeline.rate_shifts.len(), 1);

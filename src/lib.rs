@@ -1,5 +1,6 @@
 //! Reproduction of Splicer (ICDCS 2023). The root crate re-exports the
-//! public API; see README.md and the `examples/` directory.
+//! public API of `splicer-core`; see the `examples/` directory for runs
+//! and ROADMAP.md for the architecture.
 
 #![forbid(unsafe_code)]
 
