@@ -371,8 +371,8 @@ fn bench_planner(c: &mut Criterion) {
     );
     let flash = SchemeConfig::flash(Amount::ZERO);
     assert_eq!(
-        (flash.num_paths, flash.balance_view),
-        (K, BalanceView::CapacityOnly)
+        (flash.path_select, flash.num_paths, flash.balance_view),
+        (PathSelect::Ksp, K, BalanceView::CapacityOnly)
     );
     let engine = EngineConfig::default();
     assert!(engine.use_goal_directed);

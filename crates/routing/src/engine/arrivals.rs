@@ -432,7 +432,10 @@ impl Engine {
                     )
                 } else {
                     // The pool is cached and shared via `Arc`; each
-                    // payment draws its one path from it.
+                    // payment draws its one path from it. The view stays
+                    // capacity-only whatever the scheme says: `cached_or`
+                    // stores the pool, which is sound only for plans that
+                    // never read live balances.
                     let pool = cached_or(
                         path_cache,
                         use_cache,
@@ -450,7 +453,7 @@ impl Engine {
                                 p.source,
                                 p.dest,
                                 k,
-                                PathSelect::Ksp,
+                                strategy,
                                 BalanceView::CapacityOnly,
                                 min_w,
                                 accel,

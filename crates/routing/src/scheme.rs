@@ -153,11 +153,12 @@ impl SchemeConfig {
     }
 
     /// Flash \[10\]: modified max-flow for elephants, random precomputed
-    /// shortest path for mice; no rate control.
+    /// shortest path for mice (drawn from a k-shortest-path pool); no
+    /// rate control.
     pub fn flash(elephant_threshold: Amount) -> SchemeConfig {
         SchemeConfig {
             name: "Flash".into(),
-            path_select: PathSelect::Eds,
+            path_select: PathSelect::Ksp,
             num_paths: 4,
             discipline: Discipline::Fifo,
             rate_control: false,
@@ -259,6 +260,7 @@ mod tests {
     #[test]
     fn flash_thresholded() {
         let s = SchemeConfig::flash(Amount::from_tokens(20));
+        assert_eq!(s.path_select, PathSelect::Ksp, "mice pools are KSP");
         match s.route_via {
             RouteVia::FlashMaxFlow { elephant_threshold } => {
                 assert_eq!(elephant_threshold, Amount::from_tokens(20));
