@@ -67,7 +67,7 @@
 //!
 //! [`LandmarkTable`] picks a deterministic farthest-point landmark set,
 //! keyed by [`Graph::topology_epoch`] and rebuilt lazily on mismatch. No
-//! search reads it and the engine no longer refreshes it. It is kept only
+//! search reads it and the engine does not refresh it. It is kept only
 //! because the end-to-end benchmark's planner replay calls
 //! [`SearchWorkspace::prepare_landmarks`], and goes with the next change
 //! to that benchmark.

@@ -287,7 +287,7 @@ impl ScenarioBuilder {
     }
 
     /// Griefer attack: `fraction` of clients lock-and-stall for
-    /// `hold_ms` (the grid's adversary-sweep knob; shorthand for
+    /// `hold_ms` (shorthand for
     /// `adversary(|a| a.griefers(fraction, hold_ms))`).
     pub fn griefers(self, fraction: f64, hold_ms: u64) -> Self {
         self.adversary(|a| a.griefers(fraction, hold_ms))
