@@ -10,65 +10,16 @@
 //!   epoch-fresh balance view),
 //! * single path (k = 1 instead of 5).
 //!
-//! The five variants form one grid and run in parallel.
+//! The five variants form one grid ([`splicer_bench::ablation_grid`])
+//! and run in parallel.
 
-use pcn_harness::{ExperimentGrid, Overrides, SchemeTuning};
-use pcn_routing::paths::BalanceView;
-use pcn_workload::SchemeChoice;
-use splicer_bench::{HarnessOpts, Scale};
+use splicer_bench::{ablation_grid, HarnessOpts};
 
 fn main() {
     let (opts, _) = HarnessOpts::from_args();
     println!("# Ablation: Splicer minus one mechanism at a time");
     println!("(small scale, capacity-stressed: channel scale 0.5)\n");
-    let mut params = opts.params(Scale::Small);
-    params.channel_scale = 0.5;
-
-    let variants: [(&str, SchemeTuning); 5] = [
-        ("full Splicer", SchemeTuning::default()),
-        (
-            "− rate control",
-            SchemeTuning {
-                rate_control: Some(false),
-                ..SchemeTuning::default()
-            },
-        ),
-        (
-            "− congestion control",
-            SchemeTuning {
-                rate_control: Some(false),
-                congestion_control: Some(false),
-                ..SchemeTuning::default()
-            },
-        ),
-        (
-            "− fresh state (capacity view)",
-            SchemeTuning {
-                balance_view: Some(BalanceView::CapacityOnly),
-                ..SchemeTuning::default()
-            },
-        ),
-        (
-            "− multipath (k = 1)",
-            SchemeTuning {
-                num_paths: Some(1),
-                ..SchemeTuning::default()
-            },
-        ),
-    ];
-
-    let mut grid = ExperimentGrid::new(params).schemes([SchemeChoice::Splicer]);
-    for (name, tuning) in &variants {
-        grid = grid.variant(
-            *name,
-            0.0,
-            Overrides {
-                scheme: *tuning,
-                ..Overrides::default()
-            },
-        );
-    }
-    let results = grid.run(opts.workers);
+    let results = ablation_grid(&opts).run(opts.workers);
 
     println!("| variant | TSR | throughput | latency (s) | aborted TUs |");
     println!("|---|---|---|---|---|");

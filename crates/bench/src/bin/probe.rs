@@ -2,16 +2,12 @@
 //!
 //! Usage: `cargo run --release -p splicer-bench --bin probe -- [channel_scale] [--workers N]`
 
-use pcn_harness::ExperimentGrid;
-use splicer_bench::{HarnessOpts, Scale};
+use splicer_bench::{probe_grid, HarnessOpts};
 
 fn main() {
     let (opts, rest) = HarnessOpts::from_args();
     let scale: f64 = rest.first().and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let mut p = opts.params(Scale::Small);
-    p.channel_scale = scale;
-    let grid = ExperimentGrid::new(p).sweep_channel_scale(&[scale]);
-    for r in grid.run(opts.workers) {
+    for r in probe_grid(&opts, scale).run(opts.workers) {
         println!("{:12} {} hubs={:?}", r.scheme, r.stats, r.placement_hubs);
     }
 }

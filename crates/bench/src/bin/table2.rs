@@ -4,14 +4,10 @@
 //!
 //! Three ablations at both scales: path type {KSP, Heuristic, EDW, EDS},
 //! path count {1, 3, 5, 7} and queue scheduler {FIFO, LIFO, SPF, EDF}.
-//! All twelve rows per scale form one experiment grid and run in
-//! parallel.
+//! All twelve rows per scale form one experiment grid
+//! ([`splicer_bench::table2_grid`]) and run in parallel.
 
-use pcn_harness::{ExperimentGrid, Overrides, RunTuning, SchemeTuning};
-use pcn_routing::paths::PathSelect;
-use pcn_routing::scheduler::Discipline;
-use pcn_workload::SchemeChoice;
-use splicer_bench::{HarnessOpts, Scale};
+use splicer_bench::{table2_grid, HarnessOpts, Scale};
 
 fn main() {
     let (opts, _) = HarnessOpts::from_args();
@@ -24,60 +20,7 @@ fn main() {
             Scale::Small => "Small",
             Scale::Large => "Large",
         };
-        let mut params = opts.params(scale);
-        params.channel_scale = 0.5;
-        let base = Overrides {
-            tuning: RunTuning {
-                omega: Some(0.01),
-                hub_fund_factor: Some(3.0),
-                ..RunTuning::default()
-            },
-            ..Overrides::default()
-        };
-        let mut grid = ExperimentGrid::new(params)
-            .schemes([SchemeChoice::Splicer])
-            .base_overrides(base);
-        // Rows 0–3: path type; 4–7: path count (EDW); 8–11: scheduler.
-        for ps in PathSelect::ALL {
-            grid = grid.variant(
-                format!("path:{ps:?}"),
-                0.0,
-                Overrides {
-                    scheme: SchemeTuning {
-                        path_select: Some(ps),
-                        ..SchemeTuning::default()
-                    },
-                    ..Overrides::default()
-                },
-            );
-        }
-        for k in [1usize, 3, 5, 7] {
-            grid = grid.variant(
-                format!("k:{k}"),
-                k as f64,
-                Overrides {
-                    scheme: SchemeTuning {
-                        num_paths: Some(k),
-                        ..SchemeTuning::default()
-                    },
-                    ..Overrides::default()
-                },
-            );
-        }
-        for d in Discipline::ALL {
-            grid = grid.variant(
-                format!("sched:{d:?}"),
-                0.0,
-                Overrides {
-                    scheme: SchemeTuning {
-                        discipline: Some(d),
-                        ..SchemeTuning::default()
-                    },
-                    ..Overrides::default()
-                },
-            );
-        }
-        let results = grid.run(opts.workers);
+        let results = table2_grid(&opts, scale).run(opts.workers);
         let tsr_row = |range: std::ops::Range<usize>| {
             let mut row = String::from("|");
             for r in &results[range] {

@@ -13,9 +13,11 @@
 
 #![forbid(unsafe_code)]
 
-use pcn_harness::{CellResult, ExperimentGrid};
+use pcn_harness::{CellResult, ExperimentGrid, Overrides, RunTuning, SchemeTuning};
+use pcn_routing::paths::{BalanceView, PathSelect};
+use pcn_routing::scheduler::Discipline;
 use pcn_types::SimDuration;
-use pcn_workload::ScenarioParams;
+use pcn_workload::{ScenarioParams, SchemeChoice};
 
 /// One measured point of a sweep.
 #[derive(Clone, Debug)]
@@ -125,6 +127,121 @@ impl HarnessOpts {
         }
         p
     }
+}
+
+/// The `probe` grid: every compared scheme on the small world at one
+/// channel scale.
+pub fn probe_grid(opts: &HarnessOpts, scale: f64) -> ExperimentGrid {
+    let mut p = opts.params(Scale::Small);
+    p.channel_scale = scale;
+    ExperimentGrid::new(p).sweep_channel_scale(&[scale])
+}
+
+/// The Table II grid at one scale: Splicer alone in the
+/// capacity-stressed configuration (channel scale 0.5, lean hub funding,
+/// ω = 0.01), twelve rows. Rows 0–3 set the path type, 4–7 the path
+/// count (EDW) and 8–11 the queue scheduler.
+pub fn table2_grid(opts: &HarnessOpts, scale: Scale) -> ExperimentGrid {
+    let mut params = opts.params(scale);
+    params.channel_scale = 0.5;
+    let base = Overrides {
+        tuning: RunTuning {
+            omega: Some(0.01),
+            hub_fund_factor: Some(3.0),
+            ..RunTuning::default()
+        },
+        ..Overrides::default()
+    };
+    let scheme_row = |scheme: SchemeTuning| Overrides {
+        scheme,
+        ..Overrides::default()
+    };
+    let mut grid = ExperimentGrid::new(params)
+        .schemes([SchemeChoice::Splicer])
+        .base_overrides(base);
+    for ps in PathSelect::ALL {
+        grid = grid.variant(
+            format!("path:{ps:?}"),
+            0.0,
+            scheme_row(SchemeTuning {
+                path_select: Some(ps),
+                ..SchemeTuning::default()
+            }),
+        );
+    }
+    for k in [1usize, 3, 5, 7] {
+        grid = grid.variant(
+            format!("k:{k}"),
+            k as f64,
+            scheme_row(SchemeTuning {
+                num_paths: Some(k),
+                ..SchemeTuning::default()
+            }),
+        );
+    }
+    for d in Discipline::ALL {
+        grid = grid.variant(
+            format!("sched:{d:?}"),
+            0.0,
+            scheme_row(SchemeTuning {
+                discipline: Some(d),
+                ..SchemeTuning::default()
+            }),
+        );
+    }
+    grid
+}
+
+/// The ablation grid: Splicer on the small world at channel scale 0.5,
+/// in full and then minus one mechanism per row (rate control;
+/// congestion control; the fresh balance view; multipath).
+pub fn ablation_grid(opts: &HarnessOpts) -> ExperimentGrid {
+    let mut params = opts.params(Scale::Small);
+    params.channel_scale = 0.5;
+    let variants: [(&str, SchemeTuning); 5] = [
+        ("full Splicer", SchemeTuning::default()),
+        (
+            "− rate control",
+            SchemeTuning {
+                rate_control: Some(false),
+                ..SchemeTuning::default()
+            },
+        ),
+        (
+            "− congestion control",
+            SchemeTuning {
+                rate_control: Some(false),
+                congestion_control: Some(false),
+                ..SchemeTuning::default()
+            },
+        ),
+        (
+            "− fresh state (capacity view)",
+            SchemeTuning {
+                balance_view: Some(BalanceView::CapacityOnly),
+                ..SchemeTuning::default()
+            },
+        ),
+        (
+            "− multipath (k = 1)",
+            SchemeTuning {
+                num_paths: Some(1),
+                ..SchemeTuning::default()
+            },
+        ),
+    ];
+    let mut grid = ExperimentGrid::new(params).schemes([SchemeChoice::Splicer]);
+    for (name, scheme) in variants {
+        grid = grid.variant(
+            name,
+            0.0,
+            Overrides {
+                scheme,
+                ..Overrides::default()
+            },
+        );
+    }
+    grid
 }
 
 /// Worker-thread default: the machine's parallelism.
@@ -275,7 +392,6 @@ pub mod figures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcn_workload::SchemeChoice;
 
     #[test]
     fn quick_params_shrink_scale() {

@@ -4,8 +4,9 @@
 //! epoch-versioned path cache must be invisible in the semantic stats
 //! (cache-enabled ≡ cache-disabled, bit for bit).
 
-use pcn_harness::{run_spec, run_spec_tuned, ExperimentGrid, RunTuning, SchemeTuning};
+use pcn_harness::{run_spec, run_spec_tuned, CellResult, ExperimentGrid, RunTuning, SchemeTuning};
 use pcn_workload::{ScenarioBuilder, ScenarioParams, SchemeChoice};
+use splicer_bench::{ablation_grid, probe_grid, table2_grid, HarnessOpts, Scale};
 
 fn tiny_spec(scheme: SchemeChoice) -> pcn_workload::ScenarioSpec {
     ScenarioBuilder::tiny().scheme(scheme).seed(11).build()
@@ -711,6 +712,66 @@ fn fig7_quick_matches_golden_and_the_paper_claims() {
             }
         }
     }
+}
+
+/// The options `probe` and the `--quick` binaries run with by default,
+/// at seed 1 on two workers.
+fn bench_opts(quick: bool) -> HarnessOpts {
+    HarnessOpts {
+        quick,
+        seed: 1,
+        workers: 2,
+    }
+}
+
+/// One golden line per cell, each named by `name`.
+fn cell_lines(cells: &[CellResult], name: impl Fn(&CellResult) -> String) -> String {
+    let mut text = String::new();
+    for c in cells {
+        text.push_str(&golden_line(&name(c), &c.scheme, &c.stats));
+        text.push('\n');
+    }
+    text
+}
+
+#[test]
+fn probe_matches_golden() {
+    // `probe 1.0`: every compared scheme on the small world at channel
+    // scale 1, through the grid the binary runs.
+    let opts = bench_opts(false);
+    let cells = probe_grid(&opts, 1.0).run(opts.workers);
+    let text = cell_lines(&cells, |c| format!("scale {}", c.x));
+    assert_golden("probe.txt", &text, include_str!("golden/probe.txt"));
+}
+
+#[test]
+fn table2_quick_matches_golden() {
+    // `table2 --quick`: Splicer's twelve routing-choice rows at both
+    // scales.
+    let opts = bench_opts(true);
+    let mut text = String::new();
+    for scale in [Scale::Small, Scale::Large] {
+        let cells = table2_grid(&opts, scale).run(opts.workers);
+        text.push_str(&cell_lines(&cells, |c| format!("{scale:?} {}", c.label)));
+    }
+    assert_golden(
+        "table2_quick.txt",
+        &text,
+        include_str!("golden/table2_quick.txt"),
+    );
+}
+
+#[test]
+fn ablation_quick_matches_golden() {
+    // `ablation --quick`: full Splicer, then minus one mechanism a row.
+    let opts = bench_opts(true);
+    let cells = ablation_grid(&opts).run(opts.workers);
+    let text = cell_lines(&cells, |c| c.label.clone());
+    assert_golden(
+        "ablation_quick.txt",
+        &text,
+        include_str!("golden/ablation_quick.txt"),
+    );
 }
 
 /// Compares regenerated golden text with the committed file `name`
