@@ -8,10 +8,6 @@
 //!   EDS plan selection (`select_paths_in`, k = 4, capacity view), the
 //!   shape Direct-routing schemes run per payment. Goal-directed runs
 //!   the unit-cost bidirectional BFS in place of every Dijkstra.
-//! * `hub_legs_per_pair` / `hub_legs_batched_trees` — the Landmark
-//!   scheme's hub-leg planning: 2·k single-pair Dijkstra searches versus
-//!   one BFS tree from the source plus one from the destination with
-//!   per-landmark readoffs (`shortest_path_two_trees_in`).
 //!
 //! Three more rows time the source-routing baselines' planner kernels on
 //! the e2ebench `fig8_large` world: `ScenarioParams::large()` (WS(3 000,
@@ -60,7 +56,6 @@
 //! * goal-directed warm plan latency ≥ 1.5× faster than plain;
 //! * goal-directed settles ≤ half the plain search's settled nodes (a
 //!   BFS settles each node whose adjacency it expands);
-//! * batched hub-leg trees ≥ 1.5× faster than the per-pair baseline;
 //! * on the Fig. 8 pairs, alternating plan by plan, the capacity-order
 //!   EDW walk returns the heap search's paths and is ≥ 1.5× faster;
 //! * on the Fig. 8 hub pairs, alternating plan by plan, the hub
@@ -73,8 +68,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pcn_graph::{
-    edge_disjoint_widest_paths_in, max_flow_in, shortest_path_two_trees_in, EdgeRef, Graph, Path,
-    SearchWorkspace, Topology,
+    edge_disjoint_widest_paths_in, max_flow_in, EdgeRef, Graph, SearchWorkspace, Topology,
 };
 use pcn_routing::channel::NetworkFunds;
 use pcn_routing::paths::{select_paths_in, BalanceView, PathSelect};
@@ -91,7 +85,6 @@ use std::time::Instant;
 const NODES: usize = 100_000;
 const DEGREE: usize = 16;
 const K: usize = 4;
-const NUM_LANDMARKS: usize = 8;
 const PAIRS: usize = 12;
 const AB_ROUNDS: usize = 3;
 /// Splicer's path count, the `k` of its hub middles.
@@ -189,59 +182,9 @@ fn plan_once(
     (t0.elapsed().as_nanos(), ws.nodes_settled() - settled0)
 }
 
-/// The Landmark scheme's per-pair hub-leg baseline: 2·k single-pair
-/// searches (source → landmark, and the canonical dest → landmark leg,
-/// reversed — exactly what `plan_paths` runs with the toggle off).
-fn hub_legs_per_pair(
-    g: &pcn_graph::Graph,
-    ws: &mut SearchWorkspace,
-    funds: &NetworkFunds,
-    landmarks: &[NodeId],
-    src: NodeId,
-    dst: NodeId,
-) -> Vec<(Option<Path>, Option<Path>)> {
-    let cost = |e: pcn_graph::EdgeRef| (funds.total(e.id) > Amount::ZERO).then_some(1.0);
-    landmarks
-        .iter()
-        .map(|&lm| {
-            (
-                g.shortest_path_in(ws, src, lm, cost).map(|(_, p)| p),
-                g.shortest_path_in(ws, dst, lm, cost)
-                    .map(|(_, p)| p.reversed()),
-            )
-        })
-        .collect()
-}
-
-/// The batched replacement: one tree from the source, one from the
-/// destination, legs read off per landmark.
-fn hub_legs_batched(
-    g: &pcn_graph::Graph,
-    ws: &mut SearchWorkspace,
-    funds: &NetworkFunds,
-    landmarks: &[NodeId],
-    src: NodeId,
-    dst: NodeId,
-) -> Vec<(Option<Path>, Option<Path>)> {
-    let cost = |e: pcn_graph::EdgeRef| (funds.total(e.id) > Amount::ZERO).then_some(1.0);
-    let (up_tree, down_tree) = shortest_path_two_trees_in(g, ws, src, dst, cost);
-    landmarks
-        .iter()
-        .map(|&lm| {
-            (
-                up_tree.path_to(lm),
-                down_tree.path_to(lm).map(Path::reversed),
-            )
-        })
-        .collect()
-}
-
 fn bench_planner(c: &mut Criterion) {
     let (g, funds, pairs) = world();
     let mut ws = SearchWorkspace::new();
-    let landmarks: Vec<NodeId> = (0..NUM_LANDMARKS)
-        .map(|i| NodeId::from_index((i * 12_347 + 5) % NODES))
-        .collect();
 
     // ---- Interleaved A/B: the acceptance bars -------------------------
     // Alternate plain/goal-directed per pair (order flipped every round)
@@ -282,37 +225,6 @@ fn bench_planner(c: &mut Criterion) {
          (plain {plain_settled} vs goal-directed {accel_settled} = {settle_ratio:.2}×)"
     );
 
-    let (mut pair_ns, mut tree_ns) = (0u128, 0u128);
-    for round in 0..AB_ROUNDS {
-        for &(src, dst) in &pairs {
-            for &batched in if round % 2 == 0 {
-                &[false, true]
-            } else {
-                &[true, false]
-            } {
-                let t0 = Instant::now();
-                let legs = if batched {
-                    hub_legs_batched(&g, &mut ws, &funds, &landmarks, src, dst)
-                } else {
-                    hub_legs_per_pair(&g, &mut ws, &funds, &landmarks, src, dst)
-                };
-                let ns = t0.elapsed().as_nanos();
-                if batched {
-                    tree_ns += ns;
-                } else {
-                    pair_ns += ns;
-                }
-                black_box(legs);
-            }
-        }
-    }
-    let tree_speedup = pair_ns as f64 / tree_ns as f64;
-    assert!(
-        tree_speedup >= 1.5,
-        "batched hub-leg trees must be ≥1.5× faster than 2·k single-pair \
-         searches (per-pair {pair_ns} ns vs batched {tree_ns} ns = {tree_speedup:.2}×)"
-    );
-
     // ---- Criterion samples: the committed baseline --------------------
     let mut group = c.benchmark_group("planner");
     group.sample_size(10);
@@ -322,7 +234,6 @@ fn bench_planner(c: &mut Criterion) {
         "settled_reduction_interleaved",
         format!("{settle_ratio:.2}"),
     );
-    group.metadata("hub_leg_speedup_interleaved", format!("{tree_speedup:.2}"));
 
     let sample: Vec<(NodeId, NodeId)> = pairs.iter().copied().take(4).collect();
     group.bench_function(format!("plan_p2p_plain_{NODES}n_k{K}"), |b| {
@@ -339,26 +250,6 @@ fn bench_planner(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function(
-        format!("hub_legs_per_pair_{NODES}n_{NUM_LANDMARKS}lm"),
-        |b| {
-            b.iter(|| {
-                for &(src, dst) in &sample {
-                    black_box(hub_legs_per_pair(&g, &mut ws, &funds, &landmarks, src, dst));
-                }
-            })
-        },
-    );
-    group.bench_function(
-        format!("hub_legs_batched_trees_{NODES}n_{NUM_LANDMARKS}lm"),
-        |b| {
-            b.iter(|| {
-                for &(src, dst) in &sample {
-                    black_box(hub_legs_batched(&g, &mut ws, &funds, &landmarks, src, dst));
-                }
-            })
-        },
-    );
 
     // ---- Fig. 8 world: the baselines' planner kernels -----------------
     // The rows replay the engine's cache-miss calls: Spider plans EDW

@@ -1,6 +1,5 @@
 //! Goal-directed unit-cost search: a level-synchronous bidirectional
-//! BFS for point-to-point queries, and batched pairs of BFS
-//! shortest-path trees.
+//! BFS for point-to-point queries, and BFS shortest-path trees.
 //!
 //! # Unit-cost contract
 //!
@@ -10,8 +9,8 @@
 //! **exactly 1**: path length is then hop count, a BFS level is a
 //! Dijkstra distance class, and no heap or lower bound is needed. The
 //! routing layer's KSP, EDS and Heuristic pools and the Landmark
-//! scheme's trees all price usable edges at 1.0; a debug assertion
-//! checks the contract at every priced arc.
+//! scheme's landmark trees all price usable edges at 1.0; a debug
+//! assertion checks the contract at every priced arc.
 //!
 //! # Same paths as plain Dijkstra
 //!
@@ -30,9 +29,9 @@
 //! by **that node's first usable channel to `v` in its adjacency
 //! order**. The searches apply the rule directly:
 //!
-//! * [`shortest_path_two_trees_in`] expands each level in ascending node
-//!   id and fixes a node's parent at its first discovery, which is that
-//!   node and that channel.
+//! * [`bfs_tree_in`] expands each level in ascending node id and fixes
+//!   a node's parent at its first discovery, which is that node and that
+//!   channel.
 //! * [`shortest_path_accel_in`] labels levels, then rebuilds the path
 //!   from the target: at each node it takes the smallest-id node one
 //!   level closer with a usable arc into it, and that node's first
@@ -237,8 +236,7 @@ impl Levels {
 }
 
 /// Reusable goal-directed search state: both sides' levels, the level
-/// frontiers, the discovery marks of the trees, and a second recycled
-/// tree for [`shortest_path_two_trees_in`].
+/// frontiers and the discovery marks of the trees.
 #[derive(Debug, Default)]
 pub(crate) struct AccelScratch {
     levels: Levels,
@@ -246,7 +244,6 @@ pub(crate) struct AccelScratch {
     bwd: Vec<NodeId>,
     next: Vec<NodeId>,
     marks: Vec<u64>,
-    pub(crate) tree_b: ShortestPathTree,
     /// Monotone count of nodes whose adjacency a goal-directed search
     /// expanded: both sides and the restricted sweep, or every tree node.
     pub(crate) settled: u64,
@@ -385,71 +382,43 @@ where
     Some((f64::from(d), Path::new(nodes, channels)))
 }
 
-/// Two full shortest-path trees in one call — from `a` and from `b`,
-/// both priced by the same (direction-aware) unit `cost` closure —
-/// without the second tree evicting the first from the workspace.
-///
-/// This is the batched form of the Landmark scheme's per-plan legs: one
-/// tree from the payment source and one from the destination replace
-/// `2·k` single-pair searches, and `tree.path_to(landmark)` reads each
-/// leg off in O(path length). Each tree is a BFS that expands its
-/// levels in ascending node id and fixes a node's parent at its first
-/// discovery, so every distance and parent equals plain Dijkstra's tree
-/// (see the module docs). The returned references borrow the workspace
-/// and are overwritten by the next tree query on it.
-pub fn shortest_path_two_trees_in<'a, G, F>(
+/// A full shortest-path tree from `root` into `tree`, under the
+/// unit-cost contract: a BFS that expands its levels in ascending node
+/// id and fixes a node's parent at its first discovery, so every
+/// distance and parent equals plain Dijkstra's tree from `root` (see the
+/// module docs). `tree.path_to(v)` then reads the path `root → v` off in
+/// O(path length). The frontier and discovery marks come from the
+/// workspace; `tree` is the caller's and keeps its buffers across calls.
+pub fn bfs_tree_in<G, F>(
     g: &G,
-    ws: &'a mut SearchWorkspace,
-    a: NodeId,
-    b: NodeId,
+    ws: &mut SearchWorkspace,
+    root: NodeId,
     mut cost: F,
-) -> (&'a ShortestPathTree, &'a ShortestPathTree)
-where
-    G: Topology,
-    F: FnMut(EdgeRef) -> Option<f64>,
-{
-    let SearchWorkspace {
-        dijkstra, accel, ..
-    } = ws;
-    let AccelScratch {
-        fwd,
-        marks,
-        tree_b,
-        settled,
-        ..
-    } = accel;
-    bfs_tree(g, &mut dijkstra.tree, fwd, marks, settled, a, &mut cost);
-    bfs_tree(g, tree_b, fwd, marks, settled, b, &mut cost);
-    (&dijkstra.tree, tree_b)
-}
-
-/// One BFS shortest-path tree from `source` into `tree`.
-fn bfs_tree<G, F>(
-    g: &G,
     tree: &mut ShortestPathTree,
-    frontier: &mut Vec<NodeId>,
-    marks: &mut Vec<u64>,
-    settled: &mut u64,
-    source: NodeId,
-    cost: &mut F,
 ) where
     G: Topology,
     F: FnMut(EdgeRef) -> Option<f64>,
 {
+    let AccelScratch {
+        fwd: frontier,
+        marks,
+        settled,
+        ..
+    } = &mut ws.accel;
     let n = g.node_count();
-    tree.source = source;
+    tree.source = root;
     tree.dist.clear();
     tree.dist.resize(n, f64::INFINITY);
     tree.parent.clear();
     tree.parent.resize(n, None);
-    if source.index() >= n {
+    if root.index() >= n {
         return;
     }
     marks.clear();
     marks.resize(n.div_ceil(64), 0);
-    tree.dist[source.index()] = 0.0;
+    tree.dist[root.index()] = 0.0;
     frontier.clear();
-    frontier.push(source);
+    frontier.push(root);
     let mut depth = 0.0;
     while !frontier.is_empty() {
         depth += 1.0;
@@ -818,13 +787,14 @@ mod tests {
     fn two_trees_match_individual_searches() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut ws2 = SearchWorkspace::new();
+        let mut tree = ShortestPathTree::default();
         for round in 0..20 {
             let g = random_graph(&mut rng, 14, 0.3);
             let arcs = random_arcs(&mut rng, g.edge_count());
             let cost = |e: EdgeRef| arc_cost(&arcs, e);
             let mut ws = SearchWorkspace::new();
-            let (ta, tb) = shortest_path_two_trees_in(&g, &mut ws, n(0), n(13), cost);
-            for (tree, root) in [(ta, n(0)), (tb, n(13))] {
+            for root in [n(0), n(13)] {
+                bfs_tree_in(&g, &mut ws, root, cost, &mut tree);
                 assert_eq!(tree.source(), root);
                 for v in g.nodes() {
                     let plain = g.shortest_path_in(&mut ws2, root, v, cost);

@@ -18,7 +18,7 @@ use crate::{EdgeRef, Path, SearchWorkspace, Topology};
 
 /// A single-source shortest-path tree: distances and a parent forest.
 ///
-/// Produced by [`crate::shortest_path_two_trees_in`].
+/// Grown by [`crate::bfs_tree_in`], which reuses the tree's buffers.
 #[derive(Clone, Debug, Default)]
 pub struct ShortestPathTree {
     pub(crate) source: NodeId,
@@ -60,14 +60,12 @@ impl ShortestPathTree {
     }
 }
 
-/// Reusable Dijkstra state: distance labels, parent forest, heap, plus a
-/// recycled [`ShortestPathTree`] for the goal-directed tree queries.
+/// Reusable Dijkstra state: distance labels, parent forest and heap.
 #[derive(Debug, Default)]
 pub(crate) struct DijkstraScratch {
     pub(crate) dist: Vec<f64>,
     pub(crate) parent: Vec<Option<(NodeId, ChannelId)>>,
     pub(crate) heap: BinaryHeap<Reverse<(Cost, NodeId)>>,
-    pub(crate) tree: ShortestPathTree,
     /// Monotone count of nodes settled (non-stale heap pops) by every
     /// search run on this scratch — the planner-observability feed behind
     /// `SearchWorkspace::nodes_settled`.

@@ -673,22 +673,6 @@ impl Graph {
     {
         crate::dijkstra::shortest_path_in(self, ws, from, to, cost)
     }
-
-    /// [`Graph::shortest_path_in`] for unit costs (every usable edge
-    /// costs exactly 1), as a bidirectional BFS; see
-    /// [`crate::shortest_path_accel_in`]. Bit-identical results.
-    pub fn shortest_path_accel_in<F>(
-        &self,
-        ws: &mut crate::SearchWorkspace,
-        from: NodeId,
-        to: NodeId,
-        cost: F,
-    ) -> Option<(f64, Path)>
-    where
-        F: FnMut(EdgeRef) -> Option<f64>,
-    {
-        crate::accel::shortest_path_accel_in(self, ws, from, to, cost)
-    }
 }
 
 impl crate::Topology for Graph {

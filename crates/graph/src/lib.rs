@@ -74,9 +74,9 @@
 //! * [`k_shortest_paths_accel_in`] / [`edge_disjoint_shortest_paths_accel_in`]
 //!   — the Yen and greedy-EDS loops with every inner single-pair search
 //!   goal-directed.
-//! * [`shortest_path_two_trees_in`] — two full BFS trees (e.g. one from
-//!   a payment's source, one from its destination) in one call, batching
-//!   what would otherwise be `2·k` single-pair searches.
+//! * [`bfs_tree_in`] — a full BFS shortest-path tree from one root (the
+//!   Landmark scheme grows one per landmark and reads every route off
+//!   them).
 //!
 //! Bit-identity rests on plain Dijkstra's parent rule under unit costs,
 //! spelled out in the `accel` module docs: a node's parent is the
@@ -133,8 +133,8 @@ mod workspace;
 mod yen;
 
 pub use accel::{
-    edge_disjoint_shortest_paths_accel_in, k_shortest_paths_accel_in, shortest_path_accel_in,
-    shortest_path_two_trees_in, LandmarkTable,
+    bfs_tree_in, edge_disjoint_shortest_paths_accel_in, k_shortest_paths_accel_in,
+    shortest_path_accel_in, LandmarkTable,
 };
 pub use bfs::{bfs_hops, connected_components, is_connected};
 pub use dijkstra::{shortest_path, shortest_path_in, ShortestPathTree};

@@ -7,7 +7,7 @@
 //! path selection the engine's dominant allocation site. A
 //! [`SearchWorkspace`] owns all of them; the `*_in` variants of the
 //! search entry points ([`Graph::shortest_path_in`],
-//! [`crate::shortest_path_two_trees_in`], [`crate::widest_path_in`],
+//! [`crate::bfs_tree_in`], [`crate::widest_path_in`],
 //! [`crate::k_shortest_paths_in`], [`crate::max_flow_in`],
 //! [`crate::edge_disjoint_widest_paths_static_in`]) borrow the
 //! workspace and run allocation-free once its buffers have grown to the

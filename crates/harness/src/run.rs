@@ -19,12 +19,12 @@ pub struct RunTuning {
     /// Semantics-preserving either way; used for cache A/B cells and the
     /// determinism regression.
     pub path_cache: Option<bool>,
-    /// Goal-directed planning toggle (None = engine default, on).
-    /// Bidirectional BFS for the unit-cost searches and batched BFS
-    /// hub-leg trees;
-    /// semantics-preserving either way modulo the planner-observability
-    /// counters (`RunStats::without_planner_counters`). Used for the
-    /// determinism regression and planner A/B cells.
+    /// Goal-directed planning toggle (None = engine default, on): a
+    /// bidirectional BFS for the unit-cost KSP, EDS and Heuristic
+    /// searches. Landmark plans read landmark-rooted trees either way.
+    /// Semantics-preserving modulo the planner-observability counters
+    /// (`RunStats::without_planner_counters`). Used for the determinism
+    /// regression and planner A/B cells.
     pub goal_directed: Option<bool>,
 }
 

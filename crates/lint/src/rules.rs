@@ -18,9 +18,10 @@
 //! - **R3 `epoch-bump`** — any `&mut self` fn in `impl Graph` that
 //!   writes adjacency state must mention the topology epoch bump in its
 //!   body (the cache-invalidation contract: the topology never moves
-//!   without its epoch), and a `LandmarkTable` rebuild must key itself
-//!   to an epoch. Channel balances are out of scope: no cache entry
-//!   reads them, so `NetworkFunds` keeps no epoch.
+//!   without its epoch), and a `LandmarkTable` rebuild or a
+//!   `LandmarkTrees` regrowth must key itself to an epoch. Channel
+//!   balances are out of scope: no cache entry reads them, so
+//!   `NetworkFunds` keeps no epoch.
 //! - **R4 `safety-comment`** — every `unsafe` is preceded by a
 //!   `// SAFETY:` comment (applies to tests too: the counting-allocator
 //!   shims are exactly where an unsound shortcut would hide).
@@ -475,15 +476,22 @@ impl<'a> FileAnalysis<'a> {
                     triggers_ident: &["csr", "delta", "row_offsets", "edges", "live_deg"],
                     satisfiers: &["bump", "compact", "maybe_compact"],
                 }),
-                // The landmark table is keyed to the graph's topology
-                // epoch, the same contract as the routing path cache: a
-                // rebuild that rewrites the landmark set must record the
-                // epoch it was built for.
+                // The landmark table and the engine's landmark trees are
+                // keyed to the graph's topology epoch, the same contract
+                // as the routing path cache: a rebuild that rewrites the
+                // landmark set or regrows the trees must record the epoch
+                // it was built for.
                 Some("LandmarkTable") => Some(EpochGuard {
                     target: "LandmarkTable",
                     state: "landmark-row",
                     triggers_ident: &["rows", "landmarks"],
                     satisfiers: &["ensure_fresh"],
+                }),
+                Some("LandmarkTrees") => Some(EpochGuard {
+                    target: "LandmarkTrees",
+                    state: "landmark-tree",
+                    triggers_ident: &["trees"],
+                    satisfiers: &[],
                 }),
                 _ => None,
             };

@@ -62,13 +62,15 @@ fn r3_fires_on_unbumped_state_writes() {
 
 #[test]
 fn r3_covers_landmark_table_rebuilds() {
-    // The landmark table's rebuild path is held to the same epoch
-    // discipline as Graph: rewriting the landmark set
-    // without keying it to a topology epoch is a finding.
+    // The landmark table's rebuild path and the engine's landmark-tree
+    // regrowth are held to the same epoch discipline as Graph:
+    // rewriting the landmark set or the trees without keying them to a
+    // topology epoch is a finding.
     let f = lint_fixture("r3_landmarks.rs");
-    assert_eq!(count(&f, Rule::EpochBump), 1, "{f:#?}");
-    assert_eq!(f.len(), 1, "{f:#?}");
+    assert_eq!(count(&f, Rule::EpochBump), 2, "{f:#?}");
+    assert_eq!(f.len(), 2, "{f:#?}");
     assert!(f.iter().any(|x| x.message.contains("rebuild_no_key")));
+    assert!(f.iter().any(|x| x.message.contains("regrow_no_key")));
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! R3 fixture: epoch discipline on the LandmarkTable rebuild path.
+//! R3 fixture: epoch discipline on the LandmarkTable rebuild path and
+//! the LandmarkTrees regrowth path.
 //! Not compiled — lexed by `tests/corpus.rs` under a semantic-crate path.
 
 impl LandmarkTable {
@@ -16,5 +17,25 @@ impl LandmarkTable {
 
     pub fn read_row(&self, lm: usize) -> Row {
         row_of(&self.rows, lm) // &self — out of scope
+    }
+}
+
+impl LandmarkTrees {
+    fn regrow_no_key(&mut self, g: &Graph, roots: &[NodeId]) -> &[ShortestPathTree] {
+        // finding: regrows the trees without stamping them
+        self.trees.resize_with(roots.len(), ShortestPathTree::default);
+        &self.trees
+    }
+
+    fn regrow_keyed_ok(&mut self, g: &Graph, roots: &[NodeId]) -> &[ShortestPathTree] {
+        if self.epoch != Some(g.topology_epoch()) {
+            self.trees.resize_with(roots.len(), ShortestPathTree::default);
+            self.epoch = Some(g.topology_epoch()); // satisfied
+        }
+        &self.trees
+    }
+
+    fn trees(&self) -> &[ShortestPathTree] {
+        &self.trees // &self — out of scope
     }
 }

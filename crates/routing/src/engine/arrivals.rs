@@ -9,7 +9,9 @@
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use pcn_graph::{max_flow_in, Path};
+use pcn_graph::{
+    bfs_tree_in, max_flow_in, EdgeRef, Graph, Path, SearchWorkspace, ShortestPathTree,
+};
 use pcn_types::{Amount, NodeId, SimDuration, SimTime, TxId};
 
 use crate::cache::{CacheKey, PathCache, PlanClass};
@@ -88,9 +90,54 @@ fn plan_uses_accel(scheme: &crate::scheme::SchemeConfig, p: &Payment) -> bool {
             scheme.path_select,
             PathSelect::Ksp | PathSelect::Eds | PathSelect::Heuristic
         ),
-        RouteVia::Landmarks { .. } => true,
         RouteVia::FlashMaxFlow { elephant_threshold } => p.value <= *elephant_threshold,
-        RouteVia::SingleHub { .. } => false,
+        RouteVia::Landmarks { .. } | RouteVia::SingleHub { .. } => false,
+    }
+}
+
+/// The Landmark scheme's BFS shortest-path trees, one rooted at each
+/// landmark, stamped with the topology epoch they were grown at.
+///
+/// A tree prices every open channel with a positive total at one hop.
+/// Channel totals never change, so a tree stays exact until the
+/// topology epoch moves: the contract the path cache relies on. The
+/// trees are regrown on the first plan after the epoch moves.
+#[derive(Debug, Default)]
+pub(crate) struct LandmarkTrees {
+    epoch: Option<u64>,
+    trees: Vec<ShortestPathTree>,
+}
+
+impl LandmarkTrees {
+    /// The trees rooted at `landmarks`, in order, regrown first when the
+    /// graph's topology epoch has moved since they were grown.
+    fn at_epoch<F>(
+        &mut self,
+        graph: &Graph,
+        workspace: &mut SearchWorkspace,
+        landmarks: &[NodeId],
+        mut cost: F,
+    ) -> &[ShortestPathTree]
+    where
+        F: FnMut(EdgeRef) -> Option<f64>,
+    {
+        let epoch = graph.topology_epoch();
+        if self.epoch != Some(epoch) {
+            self.trees
+                .resize_with(landmarks.len(), ShortestPathTree::default);
+            for (tree, &lm) in self.trees.iter_mut().zip(landmarks) {
+                bfs_tree_in(graph, workspace, lm, &mut cost, tree);
+            }
+            self.epoch = Some(epoch);
+        }
+        debug_assert!(
+            self.trees
+                .iter()
+                .map(ShortestPathTree::source)
+                .eq(landmarks.iter().copied()),
+            "an engine's landmarks never change"
+        );
+        &self.trees
     }
 }
 
@@ -222,6 +269,7 @@ impl Engine {
             funds,
             path_cache,
             workspace,
+            landmark_trees,
             rng,
             ..
         } = self;
@@ -327,56 +375,31 @@ impl Engine {
                 CacheKey::plan(p.source, p.dest),
                 epoch,
                 || {
-                    // Both toggle arms build each route as
-                    // `source → landmark` joined with the **reverse** of
-                    // the canonical `dest → landmark` leg, so flipping
-                    // `use_goal_directed` is bit-identical: the batched
-                    // trees below read off exactly those two searches.
-                    let cost =
-                        |e: pcn_graph::EdgeRef| (funds.total(e.id) > Amount::ZERO).then_some(1.0);
-                    let mut legs: Vec<(Option<Path>, Option<Path>)> = Vec::new();
-                    if accel {
-                        // One tree from the source plus one from the
-                        // destination replace the 2·k single-pair
-                        // searches of the per-pair baseline.
-                        let (up_tree, down_tree) = pcn_graph::shortest_path_two_trees_in(
-                            graph, workspace, p.source, p.dest, cost,
-                        );
-                        for &lm in landmarks.iter().take(k) {
-                            if lm == p.source || lm == p.dest {
-                                continue;
-                            }
-                            legs.push((
-                                up_tree.path_to(lm),
-                                down_tree.path_to(lm).map(Path::reversed),
-                            ));
-                        }
-                    } else {
-                        for &lm in landmarks.iter().take(k) {
-                            if lm == p.source || lm == p.dest {
-                                continue;
-                            }
-                            let up = graph
-                                .shortest_path_in(workspace, p.source, lm, cost)
-                                .map(|(_, path)| path);
-                            let down = graph
-                                .shortest_path_in(workspace, p.dest, lm, cost)
-                                .map(|(_, path)| path.reversed());
-                            legs.push((up, down));
-                        }
-                    }
+                    let cost = |e: EdgeRef| (funds.total(e.id) > Amount::ZERO).then_some(1.0);
+                    let landmarks = &landmarks[..k.min(landmarks.len())];
+                    let trees = landmark_trees.at_epoch(graph, workspace, landmarks, cost);
                     let mut out = Vec::new();
-                    for (up, down) in legs {
-                        if let (Some(u), Some(d)) = (up, down) {
-                            // Loops through the landmark are allowed by the
-                            // scheme but a hop may not revisit the same channel.
-                            let joined = u.join(d);
-                            let mut chans: Vec<_> = joined.channels().to_vec();
-                            chans.sort();
-                            chans.dedup();
-                            if chans.len() == joined.channels().len() {
-                                out.push(joined);
-                            }
+                    for tree in trees {
+                        let lm = tree.source();
+                        if lm == p.source || lm == p.dest {
+                            continue;
+                        }
+                        // Up the landmark's tree from the source, then
+                        // down it to the destination.
+                        let Some(up) = tree.path_to(p.source) else {
+                            continue;
+                        };
+                        let Some(down) = tree.path_to(p.dest) else {
+                            continue;
+                        };
+                        // Loops through the landmark are allowed by the
+                        // scheme but a hop may not revisit the same channel.
+                        let joined = up.reversed().join(down);
+                        let mut chans: Vec<_> = joined.channels().to_vec();
+                        chans.sort();
+                        chans.dedup();
+                        if chans.len() == joined.channels().len() {
+                            out.push(joined);
                         }
                     }
                     // Two landmarks can yield the same joined route; keep
@@ -476,6 +499,7 @@ mod tests {
     use super::super::{payments_from_tuples, Engine, EngineConfig};
     use crate::channel::NetworkFunds;
     use crate::scheme::SchemeConfig;
+    use pcn_graph::Path;
     use pcn_sim::SimRng;
     use pcn_types::{Amount, NodeId, SimDuration, SimTime};
 
@@ -758,6 +782,79 @@ mod tests {
         node_seqs.sort();
         node_seqs.dedup();
         assert_eq!(node_seqs.len(), plan.len(), "no duplicate routes");
+    }
+
+    /// Each Landmark route is read off the landmark's own BFS tree: its
+    /// tree path to the source, reversed, then its tree path to the
+    /// destination. The source has two 3-hop routes to landmark 5; a tree
+    /// grown from the source picks 0-2-3-5, the tree grown from 5 picks
+    /// 5-4-1-0. Closing a channel of a chosen leg moves the epoch, so the
+    /// next plan regrows the trees and avoids it; a second miss at an
+    /// unchanged epoch grows nothing.
+    #[test]
+    fn landmark_plans_follow_landmark_rooted_trees() {
+        let mut g = pcn_graph::Graph::new(7);
+        for (a, b) in [(0, 1), (1, 4), (4, 5), (0, 2), (2, 3), (3, 5), (5, 6)] {
+            g.add_edge(n(a), n(b));
+        }
+        let funds = NetworkFunds::uniform(&g, Amount::from_tokens(100));
+        let landmarks = [n(5), n(3)];
+        let mut engine = Engine::new(
+            g,
+            funds,
+            SchemeConfig::landmark(landmarks.to_vec()),
+            EngineConfig::default(),
+            SimRng::seed(5),
+        );
+        let payments = payments_from_tuples(
+            &[(0, 0, 6, 1), (0, 2, 6, 1), (0, 0, 6, 1)],
+            SimDuration::from_secs(3),
+        );
+        // Plain Dijkstra from each landmark, first occurrences only.
+        let oracle = |engine: &Engine, src: NodeId, dst: NodeId| {
+            let mut ws = pcn_graph::SearchWorkspace::new();
+            let mut leg = |lm, to| {
+                let leg = engine
+                    .graph
+                    .shortest_path_in(&mut ws, lm, to, |_| Some(1.0));
+                leg.expect("connected").1
+            };
+            let mut routes: Vec<Vec<NodeId>> = Vec::new();
+            for lm in landmarks {
+                let route = leg(lm, src).reversed().join(leg(lm, dst)).nodes().to_vec();
+                if !routes.contains(&route) {
+                    routes.push(route);
+                }
+            }
+            routes
+        };
+        let nodes = |plan: &[Path]| plan.iter().map(|p| p.nodes().to_vec()).collect::<Vec<_>>();
+        let ids = |v: &[u32]| v.iter().map(|&i| n(i)).collect::<Vec<_>>();
+
+        let first = engine.plan_paths(&payments[0]);
+        assert_eq!(nodes(&first), oracle(&engine, n(0), n(6)));
+        assert_eq!(
+            nodes(&first),
+            [ids(&[0, 1, 4, 5, 6]), ids(&[0, 2, 3, 5, 6])]
+        );
+
+        let settled = engine.workspace.nodes_settled();
+        let other = engine.plan_paths(&payments[1]);
+        assert_eq!(nodes(&other), oracle(&engine, n(2), n(6)));
+        assert_eq!(engine.path_cache.stats().misses, 2);
+        assert_eq!(
+            engine.workspace.nodes_settled(),
+            settled,
+            "a miss at the same epoch must reuse the trees"
+        );
+
+        let chosen = engine.graph.edge_between(n(1), n(4)).expect("open");
+        engine.graph.close_channel(chosen).unwrap();
+        let after = engine.plan_paths(&payments[2]);
+        assert!(engine.workspace.nodes_settled() > settled, "trees regrown");
+        assert_eq!(nodes(&after), oracle(&engine, n(0), n(6)));
+        assert_eq!(nodes(&after), [ids(&[0, 2, 3, 5, 6])]);
+        assert!(after.iter().all(|p| !p.channels().contains(&chosen)));
     }
 
     /// Unroutable payments are counted and failed at plan time.

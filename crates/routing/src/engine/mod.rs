@@ -145,9 +145,9 @@ pub struct EngineConfig {
     pub use_path_cache: bool,
     /// Plan the unit-cost searches goal-directed: a bidirectional BFS
     /// inside every KSP, EDS and Heuristic pool search (Flash's mice
-    /// pools included), and two batched BFS trees for the landmark
-    /// scheme's hub legs. Off, the same searches run as plain Dijkstra,
-    /// the reference. The goal-directed searches return bit-identical
+    /// pools included). Off, the same searches run as plain Dijkstra,
+    /// the reference. Landmark plans do not read it: they are read off
+    /// one BFS tree per landmark either way. The goal-directed searches return bit-identical
     /// paths (they apply plain Dijkstra's parent rule, see the
     /// `pcn-graph` accel module docs), so this toggle is
     /// semantics-preserving modulo the planner-observability counters
@@ -311,6 +311,8 @@ pub struct Engine {
     pub(super) path_cache: PathCache,
     /// Reusable graph-search buffers for the hot path-selection loop.
     pub(super) workspace: SearchWorkspace,
+    /// The Landmark scheme's landmark-rooted trees (empty for the others).
+    pub(super) landmark_trees: arrivals::LandmarkTrees,
     pub(super) hub_count: usize,
     /// Adversary runtime, `None` unless a non-empty [`FaultPlan`]
     /// (crate::fault) was installed via [`Engine::with_faults`].
@@ -368,6 +370,7 @@ impl Engine {
             world: world::WorldState::default(),
             path_cache: PathCache::new(),
             workspace: SearchWorkspace::new(),
+            landmark_trees: arrivals::LandmarkTrees::default(),
             hub_count,
             fault: None,
         }

@@ -18,7 +18,8 @@
 //! * **Epochs fire.** `Graph::close_channel`/`reopen_channel`/`add_edge`
 //!   bump the topology epoch, so every `PathCache` entry — hub legs
 //!   included — goes provably stale and re-derives lazily on its next
-//!   miss. Rebalances move balances only, which no cache entry reads.
+//!   miss, and the Landmark scheme's trees regrow on its next plan.
+//!   Rebalances move balances only, which no cache entry reads.
 //! * **Dense ids survive.** A closed channel is a tombstone: funds,
 //!   queues, prices and endpoint tables keep their indices. An opened
 //!   channel extends every table by one slot (the endpoint `Arc` is

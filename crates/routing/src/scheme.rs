@@ -50,8 +50,10 @@ pub enum RouteVia {
         /// client → assigned hub.
         assignment: BTreeMap<NodeId, NodeId>,
     },
-    /// Via the k best-connected landmarks: shortest path to each landmark,
-    /// then landmark → recipient (Flare/SilentWhispers/SpeedyMurmurs).
+    /// Via the k best-connected landmarks (Flare/SilentWhispers/
+    /// SpeedyMurmurs): each landmark keeps a BFS shortest-path tree, and
+    /// a route climbs the landmark's tree from the sender and descends
+    /// it to the recipient.
     Landmarks {
         /// The landmark nodes.
         landmarks: Vec<NodeId>,
@@ -170,8 +172,8 @@ impl SchemeConfig {
         }
     }
 
-    /// Landmark routing \[6, 29, 30\]: k distinct landmark-relayed shortest
-    /// paths, no rate control.
+    /// Landmark routing \[6, 29, 30\]: up to one route per landmark, read
+    /// off that landmark's BFS shortest-path tree, no rate control.
     pub fn landmark(landmarks: Vec<NodeId>) -> SchemeConfig {
         SchemeConfig {
             name: "Landmark".into(),

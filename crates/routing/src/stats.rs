@@ -85,10 +85,11 @@ pub struct RunStats {
     /// Payment plans that went through a goal-directed computation:
     /// [`crate::EngineConfig::use_goal_directed`] on and the scheme's
     /// plan running accelerable searches for this payment (unit-cost
-    /// KSP/EDS/Heuristic selection, landmark hub-leg trees, Flash mice
-    /// pools). Semantic across cache and worker configurations of
-    /// one run; it legitimately differs across the toggle itself, which
-    /// is what [`RunStats::without_planner_counters`] is for.
+    /// KSP/EDS/Heuristic selection, Flash mice pools). Landmark plans
+    /// read landmark-rooted trees and never count. Semantic across
+    /// cache and worker configurations of one run; it legitimately
+    /// differs across the toggle itself, which is what
+    /// [`RunStats::without_planner_counters`] is for.
     pub goal_directed_plans: u64,
     /// Nodes settled by every Dijkstra-family search the planner ran
     /// (widest-path and max-flow searches are not counted). A plain

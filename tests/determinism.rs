@@ -361,8 +361,7 @@ fn dynamic_world_grid_is_bit_identical_across_worker_counts() {
 fn goal_directed_is_semantics_preserving() {
     // The acceptance bar for goal-directed planning: flipping
     // `use_goal_directed` changes how plans are computed (bidirectional
-    // BFS for the unit-cost searches, batched two-tree hub legs) but
-    // not a single planned path. For all six schemes, cached and
+    // BFS for the unit-cost searches) but not a single planned path. For all six schemes, cached and
     // uncached, a goal-directed run is bit-identical to a plain-search
     // run modulo the diagnostic cache counters and the
     // planner-observability counters (`goal_directed_plans` /
@@ -409,13 +408,11 @@ fn goal_directed_is_semantics_preserving() {
             );
             // Schemes whose plans run accelerable (unit-cost Dijkstra)
             // searches must actually route through the accelerator:
-            // Flash mice pools, landmark hub legs, direct EDS selection.
-            // Splicer/Spider plan with widest-path searches and A2L with
-            // single-hub table lookups — nothing to accelerate there.
-            if matches!(
-                scheme,
-                SchemeChoice::Flash | SchemeChoice::Landmark | SchemeChoice::ShortestPath
-            ) {
+            // Flash mice pools, direct EDS selection. Splicer/Spider plan
+            // with widest-path searches, Landmark reads its routes off
+            // landmark-rooted trees and A2L off single-hub table lookups
+            // — nothing to accelerate there.
+            if matches!(scheme, SchemeChoice::Flash | SchemeChoice::ShortestPath) {
                 assert!(
                     on.report.stats.goal_directed_plans > 0,
                     "{}: goal-directed runs must actually use the accelerator",
@@ -426,7 +423,7 @@ fn goal_directed_is_semantics_preserving() {
     }
     // And the toggle survives a moving topology: under the mixed dynamic
     // timeline the topology moves mid-run, and the runs still agree.
-    for scheme in [SchemeChoice::ShortestPath, SchemeChoice::Landmark] {
+    for scheme in [SchemeChoice::ShortestPath, SchemeChoice::Flash] {
         let spec = dynamic_spec(scheme);
         let with = |tuning: RunTuning| run_spec_tuned(&spec, &tuning, &SchemeTuning::default());
         let on = with(RunTuning {
