@@ -163,12 +163,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Overrides A2L's per-transaction cryptographic service time.
-    pub fn a2l_crypto(mut self, cost: SimDuration) -> SystemBuilder {
-        self.a2l_crypto = cost;
-        self
-    }
-
     /// Access to the underlying scenario.
     pub fn scenario(&self) -> &Scenario {
         &self.scenario

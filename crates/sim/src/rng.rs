@@ -35,11 +35,6 @@ impl SimRng {
         }
     }
 
-    /// The seed this stream was created from.
-    pub fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent labelled sub-stream. Forking does not
     /// consume randomness from `self`.
     pub fn fork(&self, label: &str) -> SimRng {

@@ -88,19 +88,6 @@ id_type!(
     u64,
     "tu"
 );
-id_type!(
-    /// Index of an epoch in the bounded-synchronous communication model
-    /// (§III-B).
-    EpochId,
-    u32,
-    "e"
-);
-id_type!(
-    /// Index of a path in a per-pair path set.
-    PathId,
-    u32,
-    "p"
-);
 
 #[cfg(test)]
 mod tests {
@@ -123,8 +110,6 @@ mod tests {
         assert_eq!(format!("{:?}", ChannelId::new(7)), "ch7");
         assert_eq!(TxId::new(1).to_string(), "tx1");
         assert_eq!(TuId::new(2).to_string(), "tu2");
-        assert_eq!(EpochId::new(0).to_string(), "e0");
-        assert_eq!(PathId::new(4).to_string(), "p4");
     }
 
     #[test]

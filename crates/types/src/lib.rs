@@ -29,7 +29,7 @@ mod time;
 
 pub use amount::{Amount, Rate};
 pub use error::{PcnError, Result};
-pub use ids::{ChannelId, EpochId, NodeId, PathId, TuId, TxId};
+pub use ids::{ChannelId, NodeId, TuId, TxId};
 pub use time::{SimDuration, SimTime};
 
 /// Default protocol constants from the paper's evaluation setup (§V-A).

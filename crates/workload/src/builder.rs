@@ -183,12 +183,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Watts–Strogatz rewiring probability.
-    pub fn rewire_beta(mut self, beta: f64) -> Self {
-        self.params.beta = beta;
-        self
-    }
-
     /// Number of smooth-node candidates (|VSNC|).
     pub fn candidates(mut self, count: usize) -> Self {
         self.params.candidate_count = count;
