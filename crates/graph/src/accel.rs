@@ -786,18 +786,17 @@ mod tests {
     #[test]
     fn two_trees_match_individual_searches() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut ws2 = SearchWorkspace::new();
+        let mut ws = SearchWorkspace::new();
         let mut tree = ShortestPathTree::default();
         for round in 0..20 {
             let g = random_graph(&mut rng, 14, 0.3);
             let arcs = random_arcs(&mut rng, g.edge_count());
             let cost = |e: EdgeRef| arc_cost(&arcs, e);
-            let mut ws = SearchWorkspace::new();
             for root in [n(0), n(13)] {
                 bfs_tree_in(&g, &mut ws, root, cost, &mut tree);
                 assert_eq!(tree.source(), root);
                 for v in g.nodes() {
-                    let plain = g.shortest_path_in(&mut ws2, root, v, cost);
+                    let plain = g.shortest_path_in(&mut ws, root, v, cost);
                     assert_eq!(
                         tree.distance(v),
                         plain.as_ref().map(|(c, _)| *c),

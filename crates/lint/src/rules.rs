@@ -478,9 +478,8 @@ impl<'a> FileAnalysis<'a> {
                 }),
                 // The landmark table and the engine's landmark trees are
                 // keyed to the graph's topology epoch, the same contract
-                // as the routing path cache: a rebuild that rewrites the
-                // landmark set or regrows the trees must record the epoch
-                // it was built for.
+                // as the routing path cache: a rebuild must record the
+                // epoch it was built for.
                 Some("LandmarkTable") => Some(EpochGuard {
                     target: "LandmarkTable",
                     state: "landmark-row",

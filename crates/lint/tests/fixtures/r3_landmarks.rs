@@ -21,21 +21,13 @@ impl LandmarkTable {
 }
 
 impl LandmarkTrees {
-    fn regrow_no_key(&mut self, g: &Graph, roots: &[NodeId]) -> &[ShortestPathTree] {
+    fn regrow_no_key(&mut self, roots: &[NodeId]) {
         // finding: regrows the trees without stamping them
         self.trees.resize_with(roots.len(), ShortestPathTree::default);
-        &self.trees
     }
 
-    fn regrow_keyed_ok(&mut self, g: &Graph, roots: &[NodeId]) -> &[ShortestPathTree] {
-        if self.epoch != Some(g.topology_epoch()) {
-            self.trees.resize_with(roots.len(), ShortestPathTree::default);
-            self.epoch = Some(g.topology_epoch()); // satisfied
-        }
-        &self.trees
-    }
-
-    fn trees(&self) -> &[ShortestPathTree] {
-        &self.trees // &self — out of scope
+    fn regrow_keyed_ok(&mut self, g: &Graph, roots: &[NodeId]) {
+        self.trees.resize_with(roots.len(), ShortestPathTree::default);
+        self.epoch = Some(g.topology_epoch()); // satisfied
     }
 }

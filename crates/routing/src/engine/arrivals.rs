@@ -499,7 +499,6 @@ mod tests {
     use super::super::{payments_from_tuples, Engine, EngineConfig};
     use crate::channel::NetworkFunds;
     use crate::scheme::SchemeConfig;
-    use pcn_graph::Path;
     use pcn_sim::SimRng;
     use pcn_types::{Amount, NodeId, SimDuration, SimTime};
 
@@ -810,8 +809,15 @@ mod tests {
             &[(0, 0, 6, 1), (0, 2, 6, 1), (0, 0, 6, 1)],
             SimDuration::from_secs(3),
         );
-        // Plain Dijkstra from each landmark, first occurrences only.
-        let oracle = |engine: &Engine, src: NodeId, dst: NodeId| {
+        // Plans payment `i` and checks it against plain Dijkstra from
+        // each landmark, first occurrences only.
+        let plan = |engine: &mut Engine, i: usize| {
+            let p = &payments[i];
+            let got: Vec<_> = engine
+                .plan_paths(p)
+                .iter()
+                .map(|r| r.nodes().to_vec())
+                .collect();
             let mut ws = pcn_graph::SearchWorkspace::new();
             let mut leg = |lm, to| {
                 let leg = engine
@@ -819,42 +825,30 @@ mod tests {
                     .shortest_path_in(&mut ws, lm, to, |_| Some(1.0));
                 leg.expect("connected").1
             };
-            let mut routes: Vec<Vec<NodeId>> = Vec::new();
+            let mut want: Vec<Vec<NodeId>> = Vec::new();
             for lm in landmarks {
-                let route = leg(lm, src).reversed().join(leg(lm, dst)).nodes().to_vec();
-                if !routes.contains(&route) {
-                    routes.push(route);
+                let route = leg(lm, p.source).reversed().join(leg(lm, p.dest));
+                if !want.contains(&route.nodes().to_vec()) {
+                    want.push(route.nodes().to_vec());
                 }
             }
-            routes
+            assert_eq!(got, want, "{:?}", p.id);
+            got
         };
-        let nodes = |plan: &[Path]| plan.iter().map(|p| p.nodes().to_vec()).collect::<Vec<_>>();
         let ids = |v: &[u32]| v.iter().map(|&i| n(i)).collect::<Vec<_>>();
 
-        let first = engine.plan_paths(&payments[0]);
-        assert_eq!(nodes(&first), oracle(&engine, n(0), n(6)));
-        assert_eq!(
-            nodes(&first),
-            [ids(&[0, 1, 4, 5, 6]), ids(&[0, 2, 3, 5, 6])]
-        );
-
+        let first = plan(&mut engine, 0);
+        assert_eq!(first, [ids(&[0, 1, 4, 5, 6]), ids(&[0, 2, 3, 5, 6])]);
         let settled = engine.workspace.nodes_settled();
-        let other = engine.plan_paths(&payments[1]);
-        assert_eq!(nodes(&other), oracle(&engine, n(2), n(6)));
+        plan(&mut engine, 1);
         assert_eq!(engine.path_cache.stats().misses, 2);
-        assert_eq!(
-            engine.workspace.nodes_settled(),
-            settled,
-            "a miss at the same epoch must reuse the trees"
-        );
+        let reused = engine.workspace.nodes_settled() == settled;
+        assert!(reused, "a miss at the same epoch must reuse the trees");
 
         let chosen = engine.graph.edge_between(n(1), n(4)).expect("open");
         engine.graph.close_channel(chosen).unwrap();
-        let after = engine.plan_paths(&payments[2]);
+        assert_eq!(plan(&mut engine, 2), [ids(&[0, 2, 3, 5, 6])]);
         assert!(engine.workspace.nodes_settled() > settled, "trees regrown");
-        assert_eq!(nodes(&after), oracle(&engine, n(0), n(6)));
-        assert_eq!(nodes(&after), [ids(&[0, 2, 3, 5, 6])]);
-        assert!(after.iter().all(|p| !p.channels().contains(&chosen)));
     }
 
     /// Unroutable payments are counted and failed at plan time.

@@ -8,6 +8,17 @@ use pcn_harness::{run_spec, run_spec_tuned, CellResult, ExperimentGrid, RunTunin
 use pcn_workload::{ScenarioBuilder, ScenarioParams, SchemeChoice};
 use splicer_bench::{ablation_grid, probe_grid, table2_grid, HarnessOpts, Scale};
 
+/// Every scheme the engine runs: the five compared ones and the
+/// shortest-path strawman.
+const ALL_SCHEMES: [SchemeChoice; 6] = [
+    SchemeChoice::Splicer,
+    SchemeChoice::Spider,
+    SchemeChoice::Flash,
+    SchemeChoice::Landmark,
+    SchemeChoice::A2L,
+    SchemeChoice::ShortestPath,
+];
+
 fn tiny_spec(scheme: SchemeChoice) -> pcn_workload::ScenarioSpec {
     ScenarioBuilder::tiny().scheme(scheme).seed(11).build()
 }
@@ -74,14 +85,7 @@ fn path_cache_is_semantics_preserving() {
     // cache-disabled run on the same seed. Only the diagnostic cache
     // counters may differ. Every scheme exercises a different plan class
     // (Direct, Hubs, FlashMaxFlow mice+elephants, Landmarks, SingleHub).
-    for scheme in [
-        SchemeChoice::Splicer,
-        SchemeChoice::Spider,
-        SchemeChoice::Flash,
-        SchemeChoice::Landmark,
-        SchemeChoice::A2L,
-        SchemeChoice::ShortestPath,
-    ] {
+    for scheme in ALL_SCHEMES {
         let spec = tiny_spec(scheme);
         let with = |cache| {
             run_spec_tuned(
@@ -124,14 +128,7 @@ fn capacity_cache_is_exact_under_funds_churn() {
     //     traffic: its live-balance hub middles are computed on every
     //     plan and never looked up, while its topology-only access legs
     //     hit until the topology moves.
-    for scheme in [
-        SchemeChoice::Splicer,
-        SchemeChoice::Spider,
-        SchemeChoice::Flash,
-        SchemeChoice::Landmark,
-        SchemeChoice::A2L,
-        SchemeChoice::ShortestPath,
-    ] {
+    for scheme in ALL_SCHEMES {
         let spec = ScenarioBuilder::tiny()
             .hotspot(0.5, 1.5)
             .scheme(scheme)
@@ -196,14 +193,7 @@ fn dynamic_world_is_semantics_preserving() {
     // diagnostic counters, and (b) the timeline actually fired and
     // expired TUs somewhere.
     let mut any_expired = 0u64;
-    for scheme in [
-        SchemeChoice::Splicer,
-        SchemeChoice::Spider,
-        SchemeChoice::Flash,
-        SchemeChoice::Landmark,
-        SchemeChoice::A2L,
-        SchemeChoice::ShortestPath,
-    ] {
+    for scheme in ALL_SCHEMES {
         let spec = dynamic_spec(scheme);
         let with = |tuning: RunTuning| run_spec_tuned(&spec, &tuning, &SchemeTuning::default());
         let cached = with(RunTuning {
@@ -258,14 +248,7 @@ fn compaction_under_churn_is_semantics_preserving() {
     // scheme: (a) compaction actually fired (the test would be vacuous
     // otherwise), and (b) cached ≡ uncached modulo the diagnostic
     // counters.
-    for scheme in [
-        SchemeChoice::Splicer,
-        SchemeChoice::Spider,
-        SchemeChoice::Flash,
-        SchemeChoice::Landmark,
-        SchemeChoice::A2L,
-        SchemeChoice::ShortestPath,
-    ] {
+    for scheme in ALL_SCHEMES {
         let spec = compacting_spec(scheme);
         let with = |tuning: RunTuning| run_spec_tuned(&spec, &tuning, &SchemeTuning::default());
         let cached = with(RunTuning {
@@ -367,14 +350,7 @@ fn goal_directed_is_semantics_preserving() {
     // planner-observability counters (`goal_directed_plans` /
     // `nodes_settled`), which are *about* the toggle and so legitimately
     // differ across it.
-    for scheme in [
-        SchemeChoice::Splicer,
-        SchemeChoice::Spider,
-        SchemeChoice::Flash,
-        SchemeChoice::Landmark,
-        SchemeChoice::A2L,
-        SchemeChoice::ShortestPath,
-    ] {
+    for scheme in ALL_SCHEMES {
         let spec = tiny_spec(scheme);
         let with = |tuning: RunTuning| run_spec_tuned(&spec, &tuning, &SchemeTuning::default());
         for cache in [true, false] {
@@ -479,14 +455,7 @@ fn adversarial_world_is_semantics_preserving() {
     // fired (the test would be vacuous otherwise), and (b) cached ≡
     // uncached modulo the diagnostic cache counters — fault decisions
     // are pure hashes of the run's state, never of the cache.
-    for scheme in [
-        SchemeChoice::Splicer,
-        SchemeChoice::Spider,
-        SchemeChoice::Flash,
-        SchemeChoice::Landmark,
-        SchemeChoice::A2L,
-        SchemeChoice::ShortestPath,
-    ] {
+    for scheme in ALL_SCHEMES {
         let spec = adversarial_spec(scheme);
         let with = |tuning: RunTuning| run_spec_tuned(&spec, &tuning, &SchemeTuning::default());
         let cached = with(RunTuning {
@@ -621,14 +590,7 @@ fn semantic_runs_match_golden() {
     ];
     let mut text = String::new();
     for (name, spec) in specs {
-        for scheme in [
-            SchemeChoice::Splicer,
-            SchemeChoice::Spider,
-            SchemeChoice::Flash,
-            SchemeChoice::Landmark,
-            SchemeChoice::A2L,
-            SchemeChoice::ShortestPath,
-        ] {
+        for scheme in ALL_SCHEMES {
             let run = run_spec(&spec(scheme));
             text.push_str(&golden_line(name, scheme.name(), &run.report.stats));
             text.push('\n');
@@ -648,17 +610,10 @@ fn fig7_quick_matches_golden_and_the_paper_claims() {
     // scales, every compared scheme on each world. Each cell is pinned
     // like the semantic runs above; then the paper's three Fig. 7(a)
     // claims are asserted with margins below today's values.
-    let mut params = ScenarioParams::small();
-    params.seed = 1;
-    params.duration = pcn_types::SimDuration::from_secs(15);
-    let cells = ExperimentGrid::new(params)
+    let cells = ExperimentGrid::new(bench_opts(true).params(Scale::Small))
         .sweep_channel_scale(&[0.5, 2.0, 8.0])
         .run(2);
-    let mut text = String::new();
-    for c in &cells {
-        text.push_str(&golden_line(&format!("scale {}", c.x), &c.scheme, &c.stats));
-        text.push('\n');
-    }
+    let text = cell_lines(&cells, |c| format!("scale {}", c.x));
     assert_golden(
         "fig7_quick.txt",
         &text,
@@ -711,8 +666,7 @@ fn fig7_quick_matches_golden_and_the_paper_claims() {
     }
 }
 
-/// The options `probe` and the `--quick` binaries run with by default,
-/// at seed 1 on two workers.
+/// `probe` and the `--quick` binaries' options at seed 1, on two workers.
 fn bench_opts(quick: bool) -> HarnessOpts {
     HarnessOpts {
         quick,
@@ -723,52 +677,37 @@ fn bench_opts(quick: bool) -> HarnessOpts {
 
 /// One golden line per cell, each named by `name`.
 fn cell_lines(cells: &[CellResult], name: impl Fn(&CellResult) -> String) -> String {
-    let mut text = String::new();
-    for c in cells {
-        text.push_str(&golden_line(&name(c), &c.scheme, &c.stats));
-        text.push('\n');
-    }
-    text
+    let line = |c: &CellResult| golden_line(&name(c), &c.scheme, &c.stats) + "\n";
+    cells.iter().map(line).collect()
 }
 
 #[test]
 fn probe_matches_golden() {
-    // `probe 1.0`: every compared scheme on the small world at channel
-    // scale 1, through the grid the binary runs.
-    let opts = bench_opts(false);
-    let cells = probe_grid(&opts, 1.0).run(opts.workers);
+    // `probe 1.0`, through the grid the binary runs.
+    let cells = probe_grid(&bench_opts(false), 1.0).run(2);
     let text = cell_lines(&cells, |c| format!("scale {}", c.x));
     assert_golden("probe.txt", &text, include_str!("golden/probe.txt"));
 }
 
 #[test]
 fn table2_quick_matches_golden() {
-    // `table2 --quick`: Splicer's twelve routing-choice rows at both
-    // scales.
-    let opts = bench_opts(true);
+    // `table2 --quick`: Splicer's twelve rows at both scales.
     let mut text = String::new();
     for scale in [Scale::Small, Scale::Large] {
-        let cells = table2_grid(&opts, scale).run(opts.workers);
-        text.push_str(&cell_lines(&cells, |c| format!("{scale:?} {}", c.label)));
+        let cells = table2_grid(&bench_opts(true), scale).run(2);
+        text += &cell_lines(&cells, |c| format!("{scale:?} {}", c.label));
     }
-    assert_golden(
-        "table2_quick.txt",
-        &text,
-        include_str!("golden/table2_quick.txt"),
-    );
+    let golden = include_str!("golden/table2_quick.txt");
+    assert_golden("table2_quick.txt", &text, golden);
 }
 
 #[test]
 fn ablation_quick_matches_golden() {
     // `ablation --quick`: full Splicer, then minus one mechanism a row.
-    let opts = bench_opts(true);
-    let cells = ablation_grid(&opts).run(opts.workers);
+    let cells = ablation_grid(&bench_opts(true)).run(2);
     let text = cell_lines(&cells, |c| c.label.clone());
-    assert_golden(
-        "ablation_quick.txt",
-        &text,
-        include_str!("golden/ablation_quick.txt"),
-    );
+    let golden = include_str!("golden/ablation_quick.txt");
+    assert_golden("ablation_quick.txt", &text, golden);
 }
 
 /// Compares regenerated golden text with the committed file `name`
@@ -830,7 +769,6 @@ fn planner_paths_match_golden() {
     let min_w = pcn_routing::EngineConfig::default().min_tu;
     let nodes = g.node_count();
     let mut ws = SearchWorkspace::new();
-    ws.prepare_landmarks(g);
     let capacity_width = |e: EdgeRef| {
         let w = funds.total(e.id).to_tokens_f64();
         (w > 0.0 && w >= min_w.to_tokens_f64()).then_some(w)
