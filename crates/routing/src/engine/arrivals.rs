@@ -15,6 +15,7 @@ use pcn_graph::{
 use pcn_types::{Amount, NodeId, SimDuration, SimTime, TxId};
 
 use crate::cache::{CacheKey, PathCache, PlanClass};
+use crate::channel::NetworkFunds;
 use crate::paths::{select_paths_in, BalanceView, PathSelect};
 use crate::rate::RateController;
 use crate::scheme::RouteVia;
@@ -111,22 +112,20 @@ pub(crate) struct LandmarkTrees {
 impl LandmarkTrees {
     /// The trees rooted at `landmarks`, in order, regrown first when the
     /// graph's topology epoch has moved since they were grown.
-    fn at_epoch<F>(
+    fn at_epoch(
         &mut self,
         graph: &Graph,
         workspace: &mut SearchWorkspace,
+        funds: &NetworkFunds,
         landmarks: &[NodeId],
-        mut cost: F,
-    ) -> &[ShortestPathTree]
-    where
-        F: FnMut(EdgeRef) -> Option<f64>,
-    {
+    ) -> &[ShortestPathTree] {
         let epoch = graph.topology_epoch();
         if self.epoch != Some(epoch) {
+            let cost = |e: EdgeRef| (funds.total(e.id) > Amount::ZERO).then_some(1.0);
             self.trees
                 .resize_with(landmarks.len(), ShortestPathTree::default);
             for (tree, &lm) in self.trees.iter_mut().zip(landmarks) {
-                bfs_tree_in(graph, workspace, lm, &mut cost, tree);
+                bfs_tree_in(graph, workspace, lm, cost, tree);
             }
             self.epoch = Some(epoch);
         }
@@ -375,9 +374,8 @@ impl Engine {
                 CacheKey::plan(p.source, p.dest),
                 epoch,
                 || {
-                    let cost = |e: EdgeRef| (funds.total(e.id) > Amount::ZERO).then_some(1.0);
                     let landmarks = &landmarks[..k.min(landmarks.len())];
-                    let trees = landmark_trees.at_epoch(graph, workspace, landmarks, cost);
+                    let trees = landmark_trees.at_epoch(graph, workspace, funds, landmarks);
                     let mut out = Vec::new();
                     for tree in trees {
                         let lm = tree.source();
