@@ -344,12 +344,12 @@ fn dynamic_world_grid_is_bit_identical_across_worker_counts() {
 fn goal_directed_is_semantics_preserving() {
     // The acceptance bar for goal-directed planning: flipping
     // `use_goal_directed` changes how plans are computed (bidirectional
-    // BFS for the unit-cost searches) but not a single planned path. For all six schemes, cached and
-    // uncached, a goal-directed run is bit-identical to a plain-search
-    // run modulo the diagnostic cache counters and the
-    // planner-observability counters (`goal_directed_plans` /
-    // `nodes_settled`), which are *about* the toggle and so legitimately
-    // differ across it.
+    // BFS for the unit-cost searches) but not a single planned path.
+    // For all six schemes, cached and uncached, a goal-directed run is
+    // bit-identical to a plain-search run modulo the diagnostic cache
+    // counters and the planner-observability counters
+    // (`goal_directed_plans` / `nodes_settled`), which are *about* the
+    // toggle and so legitimately differ across it.
     for scheme in ALL_SCHEMES {
         let spec = tiny_spec(scheme);
         let with = |tuning: RunTuning| run_spec_tuned(&spec, &tuning, &SchemeTuning::default());
