@@ -530,23 +530,6 @@ impl Graph {
             .ok_or(PcnError::UnknownChannel(id))
     }
 
-    /// Returns the endpoint of `id` opposite to `node`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PcnError::UnknownChannel`] for a bad channel id and
-    /// [`PcnError::UnknownNode`] if `node` is not an endpoint.
-    pub fn other_endpoint(&self, id: ChannelId, node: NodeId) -> Result<NodeId> {
-        let (a, b) = self.endpoints(id)?;
-        if node == a {
-            Ok(b)
-        } else if node == b {
-            Ok(a)
-        } else {
-            Err(PcnError::UnknownNode(node))
-        }
-    }
-
     /// Whether any channel directly connects `a` and `b`.
     pub fn has_edge_between(&self, a: NodeId, b: NodeId) -> bool {
         self.edges_of(a).any(|e| e.to == b)
@@ -783,18 +766,6 @@ mod tests {
         let g = diamond();
         let ch = ChannelId::new(0);
         assert_eq!(g.endpoints(ch).unwrap(), (NodeId::new(0), NodeId::new(1)));
-        assert_eq!(
-            g.other_endpoint(ch, NodeId::new(0)).unwrap(),
-            NodeId::new(1)
-        );
-        assert_eq!(
-            g.other_endpoint(ch, NodeId::new(1)).unwrap(),
-            NodeId::new(0)
-        );
-        assert_eq!(
-            g.other_endpoint(ch, NodeId::new(2)),
-            Err(PcnError::UnknownNode(NodeId::new(2)))
-        );
         assert_eq!(
             g.endpoints(ChannelId::new(99)),
             Err(PcnError::UnknownChannel(ChannelId::new(99)))

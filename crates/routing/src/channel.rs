@@ -336,16 +336,6 @@ impl NetworkFunds {
         self.balance(id, from) < Amount::from_millitokens(1)
     }
 
-    /// Counts directed channel sides with zero spendable balance.
-    pub fn drained_directions(&self) -> usize {
-        self.channels
-            .iter()
-            .map(|c| {
-                usize::from(c.spendable(c.a).is_zero()) + usize::from(c.spendable(c.b).is_zero())
-            })
-            .sum()
-    }
-
     /// Verifies the conservation invariant on every channel.
     pub fn verify_conservation(&self) -> bool {
         self.channels
@@ -548,7 +538,6 @@ mod tests {
         f.lock(ch, n(0), Amount::from_tokens(10)).unwrap();
         f.settle(ch, n(0), Amount::from_tokens(10)).unwrap();
         assert!(f.is_drained(ch, n(0)));
-        assert_eq!(f.drained_directions(), 1);
     }
 
     #[test]

@@ -226,16 +226,10 @@ impl WaitQueue {
         self.min_amount = survivor_min;
     }
 
-    /// Entries whose queueing delay exceeds `threshold` at time `now`
-    /// (candidates for congestion marking).
-    pub fn over_delay(&self, now: SimTime, threshold: pcn_types::SimDuration) -> Vec<TuId> {
-        let mut out = Vec::new();
-        self.over_delay_into(now, threshold, &mut out);
-        out
-    }
-
-    /// [`WaitQueue::over_delay`] into a caller-owned buffer (appended;
-    /// not cleared) — the allocation-free variant for the periodic tick.
+    /// Appends the entries whose queueing delay exceeds `threshold` at
+    /// time `now` (candidates for congestion marking) to a caller-owned
+    /// buffer, which is not cleared: the periodic tick reuses one buffer
+    /// and allocates nothing.
     pub fn over_delay_into(
         &self,
         now: SimTime,
@@ -336,11 +330,13 @@ mod tests {
     #[test]
     fn over_delay_marks_old_entries() {
         let q = queue_with(Discipline::Fifo);
-        let over = q.over_delay(t(500), SimDuration::from_micros(400));
+        let mut over = Vec::new();
+        q.over_delay_into(t(500), SimDuration::from_micros(400), &mut over);
         // enqueued at 10, 20, 30: delays 490, 480, 470 → only > 400: all.
         assert_eq!(over.len(), 3);
-        // Delays at t=445: 435/425/415 for enqueue times 10/20/30.
-        let over = q.over_delay(t(445), SimDuration::from_micros(430));
-        assert_eq!(over, vec![TuId::new(1)]);
+        // Delays at t=445: 435/425/415 for enqueue times 10/20/30. The
+        // buffer is appended to, not cleared.
+        q.over_delay_into(t(445), SimDuration::from_micros(430), &mut over);
+        assert_eq!(over[3..], [TuId::new(1)]);
     }
 }

@@ -26,12 +26,6 @@ impl Exponential {
         Exponential { rate }
     }
 
-    /// Creates an exponential with the given mean.
-    pub fn with_mean(mean: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0, "mean must be positive");
-        Exponential { rate: 1.0 / mean }
-    }
-
     /// Draws a sample (inverse-CDF method).
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         // 1 - u avoids ln(0).
@@ -156,7 +150,7 @@ mod tests {
     #[test]
     fn exponential_mean_converges() {
         let mut rng = SimRng::seed(1);
-        let d = Exponential::with_mean(4.0);
+        let d = Exponential::new(0.25);
         let xs: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng)).collect();
         let m = mean_of(&xs);
         assert!((m - 4.0).abs() < 0.1, "mean {m}");

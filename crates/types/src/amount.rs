@@ -1,4 +1,4 @@
-//! Fixed-point token amounts and payment rates.
+//! Fixed-point token amounts.
 //!
 //! All fund accounting in the simulator uses [`Amount`], a `u64` count of
 //! *millitokens* (1/1000 of a token). Fixed-point arithmetic keeps channel
@@ -155,20 +155,6 @@ impl Amount {
         Amount::from_tokens_f64(self.to_tokens_f64() * factor)
     }
 
-    /// Divides into `n` near-equal parts; the first `remainder` parts get one
-    /// extra millitoken so the parts sum exactly to `self`.
-    ///
-    /// Returns an empty vector when `n == 0`.
-    pub fn split_even(self, n: usize) -> Vec<Amount> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let n64 = n as u64;
-        let base = self.0 / n64;
-        let rem = (self.0 % n64) as usize;
-        (0..n).map(|i| Amount(base + u64::from(i < rem))).collect()
-    }
-
     /// Integer ratio `self / other` as a float; `other == 0` yields 0.0.
     pub fn ratio(self, other: Amount) -> f64 {
         if other.is_zero() {
@@ -232,69 +218,9 @@ impl fmt::Display for Amount {
     }
 }
 
-/// A payment rate in tokens per second.
-///
-/// Rates live in controller space (price/rate updates of §IV-D) and are
-/// intentionally floating point; they convert to funds only through
-/// [`Rate::amount_over`].
-///
-/// # Examples
-///
-/// ```
-/// use pcn_types::{Rate, SimDuration};
-///
-/// let r = Rate::per_second(2.0);
-/// let moved = r.amount_over(SimDuration::from_millis(500));
-/// assert_eq!(moved.to_tokens_f64(), 1.0);
-/// ```
-#[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Default)]
-pub struct Rate(f64);
-
-impl Rate {
-    /// The zero rate.
-    pub const ZERO: Rate = Rate(0.0);
-
-    /// Creates a rate of `tokens_per_second`; negative and non-finite inputs
-    /// are clamped to zero.
-    pub fn per_second(tokens_per_second: f64) -> Self {
-        if tokens_per_second.is_finite() && tokens_per_second > 0.0 {
-            Rate(tokens_per_second)
-        } else {
-            Rate(0.0)
-        }
-    }
-
-    /// Returns the rate in tokens/second.
-    pub const fn tokens_per_second(self) -> f64 {
-        self.0
-    }
-
-    /// Funds moved at this rate over `dur`, rounded to millitokens.
-    pub fn amount_over(self, dur: crate::SimDuration) -> Amount {
-        Amount::from_tokens_f64(self.0 * dur.as_secs_f64())
-    }
-
-    /// Adds a (possibly negative) delta, flooring at zero.
-    pub fn adjusted(self, delta: f64) -> Rate {
-        Rate::per_second(self.0 + delta)
-    }
-
-    /// Clamps the rate into `[lo, hi]`.
-    pub fn clamp(self, lo: Rate, hi: Rate) -> Rate {
-        Rate(self.0.clamp(lo.0, hi.0))
-    }
-}
-
-impl fmt::Display for Rate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3} tok/s", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimDuration;
 
     #[test]
     fn token_conversions() {
@@ -336,18 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn split_even_sums_exactly() {
-        let a = Amount::from_millitokens(10);
-        let parts = a.split_even(3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts.iter().copied().sum::<Amount>(), a);
-        assert_eq!(parts[0], Amount::from_millitokens(4));
-        assert_eq!(parts[1], Amount::from_millitokens(3));
-        assert_eq!(parts[2], Amount::from_millitokens(3));
-        assert!(a.split_even(0).is_empty());
-    }
-
-    #[test]
     fn min_max_ratio() {
         let a = Amount::from_tokens(2);
         let b = Amount::from_tokens(8);
@@ -368,24 +282,6 @@ mod tests {
     fn sum_iterator() {
         let total: Amount = (1..=4).map(Amount::from_tokens).sum();
         assert_eq!(total, Amount::from_tokens(10));
-    }
-
-    #[test]
-    fn rate_basics() {
-        let r = Rate::per_second(4.0);
-        assert_eq!(
-            r.amount_over(SimDuration::from_millis(250)).to_tokens_f64(),
-            1.0
-        );
-        assert_eq!(Rate::per_second(-3.0), Rate::ZERO);
-        assert_eq!(Rate::per_second(f64::NAN), Rate::ZERO);
-        assert_eq!(r.adjusted(-10.0), Rate::ZERO);
-        assert_eq!(r.adjusted(1.0).tokens_per_second(), 5.0);
-        assert_eq!(
-            r.clamp(Rate::per_second(5.0), Rate::per_second(6.0)),
-            Rate::per_second(5.0)
-        );
-        assert_eq!(r.to_string(), "4.000 tok/s");
     }
 
     #[test]

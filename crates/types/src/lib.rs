@@ -27,7 +27,7 @@ mod error;
 mod ids;
 mod time;
 
-pub use amount::{Amount, Rate};
+pub use amount::Amount;
 pub use error::{PcnError, Result};
 pub use ids::{ChannelId, NodeId, TuId, TxId};
 pub use time::{SimDuration, SimTime};
