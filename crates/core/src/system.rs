@@ -111,6 +111,13 @@ impl PreparedRun {
     }
 }
 
+/// A2L's per-transaction cryptographic service time at its hub.
+const A2L_CRYPTO: SimDuration = SimDuration::from_millis(42);
+/// Flash's elephant/mouse boundary.
+const FLASH_THRESHOLD: Amount = Amount::from_tokens(40);
+/// The engine RNG seed of every run (only Flash's mice draw on it).
+const RUN_SEED: u64 = 7;
+
 /// Builder over a scenario; see the crate-level example.
 pub struct SystemBuilder {
     scenario: Scenario,
@@ -118,13 +125,10 @@ pub struct SystemBuilder {
     solver: PlacementSolver,
     engine_cfg: EngineConfig,
     hub_fund_factor: f64,
-    a2l_crypto: SimDuration,
-    flash_threshold: Amount,
-    run_seed: u64,
 }
 
 impl SystemBuilder {
-    /// Creates a builder with paper-default knobs (ω = 0.5, automatic
+    /// Creates a builder with paper-default knobs (ω = 0.04, automatic
     /// placement solver, default engine config).
     pub fn new(scenario: Scenario) -> SystemBuilder {
         SystemBuilder {
@@ -133,9 +137,6 @@ impl SystemBuilder {
             solver: PlacementSolver::Auto,
             engine_cfg: EngineConfig::default(),
             hub_fund_factor: 20.0,
-            a2l_crypto: SimDuration::from_millis(42),
-            flash_threshold: Amount::from_tokens(40),
-            run_seed: 7,
         }
     }
 
@@ -299,7 +300,7 @@ impl SystemBuilder {
             payments: self.scenario.payments.clone(),
             timeline: self.scenario.timeline.clone(),
             faults: self.scenario.faults.clone(),
-            seed: self.run_seed,
+            seed: RUN_SEED,
             placement: Some(PlacementSummary {
                 hubs: plan.num_hubs(),
                 management_cost: plan.management_cost(),
@@ -319,7 +320,7 @@ impl SystemBuilder {
             payments: self.scenario.payments.clone(),
             timeline: self.scenario.timeline.clone(),
             faults: self.scenario.faults.clone(),
-            seed: self.run_seed,
+            seed: RUN_SEED,
             placement: None,
         }
     }
@@ -331,11 +332,7 @@ impl SystemBuilder {
 
     /// Builds the Flash baseline.
     pub fn build_flash(&self) -> PreparedRun {
-        let mut cfg = self.engine_cfg.clone();
-        cfg.max_retries = 1;
-        let mut run = self.flat_run("Flash", SchemeConfig::flash(self.flash_threshold));
-        run.engine_cfg = cfg;
-        run
+        self.flat_run("Flash", SchemeConfig::flash(FLASH_THRESHOLD))
     }
 
     /// Builds the Landmark baseline (top candidates as landmarks).
@@ -360,12 +357,12 @@ impl SystemBuilder {
         PreparedRun {
             name: "A2L".into(),
             topology,
-            scheme: SchemeConfig::a2l(hub, self.a2l_crypto),
+            scheme: SchemeConfig::a2l(hub, A2L_CRYPTO),
             engine_cfg: self.engine_cfg.clone(),
             payments: self.scenario.payments.clone(),
             timeline: self.scenario.timeline.clone(),
             faults: self.scenario.faults.clone(),
-            seed: self.run_seed,
+            seed: RUN_SEED,
             placement: None,
         }
     }
@@ -473,6 +470,25 @@ mod tests {
         assert!(overlap > 0.0 && overlap <= 1.0, "overlap {overlap}");
         assert_eq!(builder.voting_overlap(), overlap);
         assert_eq!(tiny_builder().voting_overlap(), overlap);
+    }
+
+    /// Every scheme runs on the builder's engine config: what differs
+    /// between schemes, Flash's retries included, is in `SchemeConfig`.
+    #[test]
+    fn every_scheme_runs_on_the_builders_engine_config() {
+        let cfg = EngineConfig {
+            update_interval: SimDuration::from_millis(400),
+            ..EngineConfig::default()
+        };
+        let builder = tiny_builder().engine_config(cfg.clone());
+        let mut runs = builder.build_all().unwrap();
+        runs.push(builder.build_shortest_path());
+        assert_eq!(runs.len(), 6);
+        for mut run in runs {
+            let mut seen = None;
+            run.tune_engine(|e| seen = Some(e.clone()));
+            assert_eq!(seen.as_ref(), Some(&cfg), "{}", run.name());
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use pcn_graph::{
     bfs_tree_in, max_flow_in, EdgeRef, Graph, Path, SearchWorkspace, ShortestPathTree,
 };
+use pcn_types::constants::{MAX_TU, WINDOW_BETA, WINDOW_GAMMA};
 use pcn_types::{Amount, NodeId, SimDuration, SimTime, TxId};
 
 use crate::cache::{CacheKey, PathCache, PlanClass};
@@ -22,7 +23,9 @@ use crate::scheme::RouteVia;
 use crate::tu::{split_demand, Payment};
 use crate::window::WindowController;
 
-use super::{Engine, Ev, FlowState, TxState};
+use super::{
+    Engine, Ev, FlowState, TxState, ALPHA, INITIAL_RATE, INITIAL_WINDOW, MAX_RATE, MIN_RATE,
+};
 
 /// Routes one capacity-only plan query — `compute` reads the topology
 /// and channel totals, never live balances — through the
@@ -213,19 +216,12 @@ impl Engine {
             return;
         }
         let k = paths.len();
-        let rates = self.scheme.rate_control.then(|| {
-            RateController::new(
-                k,
-                self.cfg.initial_rate,
-                self.cfg.min_rate,
-                self.cfg.max_rate,
-                self.cfg.alpha,
-            )
-        });
-        let windows =
-            WindowController::new(k, self.cfg.initial_window, self.cfg.beta, self.cfg.gamma);
-        let backlog: VecDeque<Amount> =
-            split_demand(payment.value, self.cfg.min_tu, self.cfg.max_tu).into();
+        let rates = self
+            .scheme
+            .rate_control
+            .then(|| RateController::new(k, INITIAL_RATE, MIN_RATE, MAX_RATE, ALPHA));
+        let windows = WindowController::new(k, INITIAL_WINDOW, WINDOW_BETA, WINDOW_GAMMA);
+        let backlog: VecDeque<Amount> = split_demand(payment.value, self.cfg.min_tu, MAX_TU).into();
         let state = self.txs.get_mut(tx).expect("checked above");
         let mut flow = FlowState {
             outstanding: vec![0; k],

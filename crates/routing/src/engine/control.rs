@@ -3,9 +3,10 @@
 //! from freshly probed prices (eq. 26), and accounts hub epoch-state
 //! synchronization overhead (§III-B).
 
+use pcn_types::constants::QUEUE_DELAY_THRESHOLD;
 use pcn_types::SimTime;
 
-use super::{Engine, Ev};
+use super::{Engine, Ev, ETA, KAPPA, T_FEE};
 
 impl Engine {
     pub(super) fn on_price_tick(&mut self, now: SimTime) {
@@ -14,8 +15,8 @@ impl Engine {
         let queues = &self.queues;
         let endpoints = &self.endpoints;
         self.prices.tick(
-            self.cfg.kappa,
-            self.cfg.eta,
+            KAPPA,
+            ETA,
             |ch| {
                 let (a, b) = endpoints[ch.index()];
                 let q = &queues[ch.index()];
@@ -35,7 +36,7 @@ impl Engine {
         for pair in self.queues.iter_mut() {
             for q in [&mut pair.0, &mut pair.1] {
                 q.drain_expired_into(now, &mut expired);
-                q.over_delay_into(now, self.cfg.queue_delay_threshold, &mut to_mark);
+                q.over_delay_into(now, QUEUE_DELAY_THRESHOLD, &mut to_mark);
             }
         }
         for e in &expired {
@@ -72,11 +73,7 @@ impl Engine {
                     continue;
                 };
                 prices.clear();
-                prices.extend(
-                    flow.paths
-                        .iter()
-                        .map(|p| self.prices.path_price(p, self.cfg.t_fee)),
-                );
+                prices.extend(flow.paths.iter().map(|p| self.prices.path_price(p, T_FEE)));
                 rates.update(&prices);
                 self.stats.overhead_msgs += flow.paths.iter().map(|p| p.hops() as u64).sum::<u64>();
             }

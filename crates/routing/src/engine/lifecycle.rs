@@ -7,12 +7,13 @@
 
 use std::sync::Arc;
 
+use pcn_types::constants::{MAX_TU, QUEUE_DELAY_THRESHOLD};
 use pcn_types::{ChannelId, SimTime, TuId, TxId};
 
 use crate::scheduler::WaitQueue;
 use crate::tu::TransactionUnit;
 
-use super::{nth_hop, Engine, Ev};
+use super::{nth_hop, Engine, Ev, HOP_DELAY};
 
 /// Sends the next backlog TU of an already-looked-up transaction. With
 /// `path_override` the TU goes on the given path (rate-controlled
@@ -109,16 +110,16 @@ impl Engine {
             // The pacing rate is only consulted on an actual send; rates
             // change solely at price ticks, so reading it after the send
             // is identical to reading it before.
-            let rate = state
+            let rates = state
                 .flow
                 .as_ref()
                 .expect("checked above")
                 .rates
                 .as_ref()
-                .map(|r| r.rate(path_i))
-                .unwrap_or(self.cfg.max_rate);
-            let tu_tokens = self.cfg.max_tu.to_tokens_f64();
-            pcn_types::SimDuration::from_secs_f64(tu_tokens / rate.max(self.cfg.min_rate))
+                .expect("only rate-controlled flows schedule Inject");
+            pcn_types::SimDuration::from_secs_f64(
+                rates.injection_gap_secs(path_i, MAX_TU.to_tokens_f64()),
+            )
         } else {
             // Window closed or backlog empty: poll again shortly.
             self.cfg
@@ -201,7 +202,7 @@ impl Engine {
 
     /// The delay before the TU's forward message reaches the next node,
     /// given that hop `hop` over `ch` toward `to` just locked. Honest
-    /// engines (`fault: None`) return `cfg.hop_delay` untouched; an
+    /// engines (`fault: None`) return `HOP_DELAY` untouched; an
     /// installed adversary may stretch it (griefer hold, channel jitter,
     /// rogue-hub stall/misorder). Every lock passes through here, so it
     /// doubles as the deadlock watchdog's progress bump.
@@ -214,7 +215,7 @@ impl Engine {
         retries: u32,
     ) -> pcn_types::SimDuration {
         let Some(fault) = self.fault.as_mut() else {
-            return self.cfg.hop_delay;
+            return HOP_DELAY;
         };
         fault.progress += 1;
         let plan = &fault.plan;
@@ -224,16 +225,16 @@ impl Engine {
             // lifecycle reclaims it.
             self.stats.griefed_locks += 1;
             self.stats.faults_injected += 1;
-            return plan.griefer_hold.max(self.cfg.hop_delay);
+            return plan.griefer_hold.max(HOP_DELAY);
         }
         let mut extra = plan.jitter(ch, tx, hop, retries);
         for &(node, behavior) in &fault.rogue_nodes {
             if node == to {
                 extra += match behavior {
-                    crate::fault::RogueBehavior::Stall => self.cfg.hop_delay.saturating_mul(8),
+                    crate::fault::RogueBehavior::Stall => HOP_DELAY.saturating_mul(8),
                     crate::fault::RogueBehavior::Misorder => {
                         if plan.misorders(ch, tx, hop, retries) {
-                            self.cfg.hop_delay.saturating_mul(2)
+                            HOP_DELAY.saturating_mul(2)
                         } else {
                             pcn_types::SimDuration::ZERO
                         }
@@ -242,7 +243,7 @@ impl Engine {
             }
         }
         if extra.is_zero() {
-            return self.cfg.hop_delay;
+            return HOP_DELAY;
         }
         self.stats.faults_injected += 1;
         if !plan.is_adversarial(tx) {
@@ -250,7 +251,7 @@ impl Engine {
             // `expect_bounded_stall` knob bounds.
             self.stats.max_stall_us = self.stats.max_stall_us.max(extra.as_micros());
         }
-        self.cfg.hop_delay + extra
+        HOP_DELAY + extra
     }
 
     pub(super) fn deliver(&mut self, now: SimTime, tu_id: TuId) {
@@ -260,12 +261,12 @@ impl Engine {
         // The acknowledgement walks back: the hop nearest the recipient
         // settles first.
         for i in (0..hops).rev() {
-            let delay = self.cfg.hop_delay.saturating_mul((hops - 1 - i) as u64);
+            let delay = HOP_DELAY.saturating_mul((hops - 1 - i) as u64);
             self.events
                 .schedule_at(now + delay, Ev::SettleHop(tu_id, i));
         }
         self.stats.overhead_msgs += hops as u64; // ack messages
-        let total_delay = self.cfg.hop_delay.saturating_mul(hops as u64);
+        let total_delay = HOP_DELAY.saturating_mul(hops as u64);
         self.events
             .schedule_at(now + total_delay, Ev::AckComplete(tu_id));
     }
@@ -366,7 +367,7 @@ impl Engine {
             state.backlog.push_back(tu.amount);
         } else {
             let flow_len = state.flow.as_ref().map(|f| f.paths.len()).unwrap_or(0);
-            if tu.retries < self.cfg.max_retries && flow_len > 1 {
+            if tu.retries < self.scheme.max_retries && flow_len > 1 {
                 // Retry on the next path (Flash's alternate-path retry).
                 let next_path = (tu.flow_path + 1) % flow_len;
                 let flow = state.flow.as_mut().expect("flow_len > 0");
@@ -386,10 +387,7 @@ impl Engine {
                     enqueued_at: None,
                     retries: tu.retries + 1,
                 });
-                // With the default zero backoff this is exactly the
-                // historical immediate retry.
-                self.events
-                    .schedule_at(now + self.cfg.retry_backoff, Ev::HopArrive(id));
+                self.events.schedule_at(now, Ev::HopArrive(id));
             } else {
                 // Without rate control a lost TU sinks the transaction.
                 self.fail_tx(tu.tx);
@@ -441,7 +439,7 @@ impl Engine {
                 continue;
             };
             let waited = now.saturating_since(entry.enqueued_at);
-            if waited > self.cfg.queue_delay_threshold && !tu.marked {
+            if waited > QUEUE_DELAY_THRESHOLD && !tu.marked {
                 tu.marked = true;
                 self.stats.marked_tus += 1;
             }

@@ -76,6 +76,7 @@ use std::sync::Arc;
 
 use pcn_graph::{Graph, Path, SearchWorkspace};
 use pcn_sim::{EventQueue, SimRng};
+use pcn_types::constants::QUEUE_CAPACITY;
 use pcn_types::{Amount, ChannelId, NodeId, SimDuration, SimTime, TuId, TxId};
 
 use crate::cache::PathCache;
@@ -88,51 +89,21 @@ use crate::stats::RunStats;
 use crate::tu::Payment;
 use crate::window::WindowController;
 
-/// Engine tuning knobs (protocol constants of §V-A plus controller gains).
+/// The engine settings a run varies or reads: the price/probe interval
+/// τ (Fig. 7(c,d) sweep it), the TU floor and the two planner toggles.
+///
+/// Every other protocol value is fixed. The paper's §V-A values (T, the
+/// queue bound, Max-TU, β, γ) live in [`pcn_types::constants`]; the
+/// engine's own choices (hop delay, price and rate gains, rate bounds,
+/// initial rate and window) are constants of this module. A payment's
+/// deadline comes with the payment ([`Payment::deadline`]), and Flash's
+/// retry budget is part of its scheme ([`SchemeConfig::max_retries`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineConfig {
-    /// One-way per-hop message delay.
-    pub hop_delay: SimDuration,
     /// Price/probe update interval τ (paper: 200 ms).
     pub update_interval: SimDuration,
-    /// Transaction timeout (paper: 3 s).
-    pub tx_timeout: SimDuration,
-    /// Queueing-delay marking threshold T (paper: 400 ms).
-    pub queue_delay_threshold: SimDuration,
-    /// Per-queue value bound (paper: 8000 tokens).
-    pub queue_capacity: Amount,
     /// Min TU value (paper: 1 token).
     pub min_tu: Amount,
-    /// Max TU value (paper: 4 tokens).
-    pub max_tu: Amount,
-    /// Capacity-price gain κ (eq. 21).
-    pub kappa: f64,
-    /// Imbalance-price gain η (eq. 22).
-    pub eta: f64,
-    /// Rate-update gain α (eq. 26).
-    pub alpha: f64,
-    /// Fee threshold T_fee (eq. 24).
-    pub t_fee: f64,
-    /// Window decrease β (eq. 27; paper: 10).
-    pub beta: f64,
-    /// Window increase γ (eq. 28; paper: 0.1).
-    pub gamma: f64,
-    /// Rate floor (tokens/sec).
-    pub min_rate: f64,
-    /// Rate ceiling (tokens/sec).
-    pub max_rate: f64,
-    /// Starting per-path rate (tokens/sec).
-    pub initial_rate: f64,
-    /// Starting per-path window (TUs).
-    pub initial_window: f64,
-    /// TU retry budget after a failed attempt (Flash uses 1).
-    pub max_retries: u32,
-    /// Pause before a failed TU re-enters the network. Zero (the
-    /// default) retries immediately — the historical behaviour, kept
-    /// exactly so honest runs are byte-identical. Victims of griefing
-    /// or channel faults can opt into pacing so retries don't pile
-    /// onto a stalled cycle (see the crate-level threat model).
-    pub retry_backoff: SimDuration,
     /// Serve capacity-only plans (those that read the topology and
     /// channel totals, never live balances) from the topology-epoch
     /// [`PathCache`]; live-balance plans are computed on every plan
@@ -159,30 +130,32 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            hop_delay: SimDuration::from_millis(40),
             update_interval: pcn_types::constants::UPDATE_INTERVAL,
-            tx_timeout: pcn_types::constants::TX_TIMEOUT,
-            queue_delay_threshold: pcn_types::constants::QUEUE_DELAY_THRESHOLD,
-            queue_capacity: pcn_types::constants::QUEUE_CAPACITY,
             min_tu: pcn_types::constants::MIN_TU,
-            max_tu: pcn_types::constants::MAX_TU,
-            kappa: 0.002,
-            eta: 0.01,
-            alpha: 0.4,
-            t_fee: 0.1,
-            beta: pcn_types::constants::WINDOW_BETA,
-            gamma: pcn_types::constants::WINDOW_GAMMA,
-            min_rate: 1.0,
-            max_rate: 500.0,
-            initial_rate: 50.0,
-            initial_window: 20.0,
-            max_retries: 0,
-            retry_backoff: SimDuration::ZERO,
             use_path_cache: true,
             use_goal_directed: true,
         }
     }
 }
+
+/// One-way per-hop message delay.
+const HOP_DELAY: SimDuration = SimDuration::from_millis(40);
+/// Capacity-price gain κ (eq. 21).
+const KAPPA: f64 = 0.002;
+/// Imbalance-price gain η (eq. 22).
+const ETA: f64 = 0.01;
+/// Rate-update gain α (eq. 26).
+const ALPHA: f64 = 0.4;
+/// Fee threshold T_fee (eq. 24).
+const T_FEE: f64 = 0.1;
+/// Rate floor (tokens/sec).
+const MIN_RATE: f64 = 1.0;
+/// Rate ceiling (tokens/sec).
+const MAX_RATE: f64 = 500.0;
+/// Starting per-path rate (tokens/sec).
+const INITIAL_RATE: f64 = 50.0;
+/// Starting per-path window (TUs).
+const INITIAL_WINDOW: f64 = 20.0;
 
 #[derive(Debug)]
 pub(super) enum Ev {
@@ -337,8 +310,8 @@ impl Engine {
             .iter()
             .map(|_| {
                 (
-                    WaitQueue::new(scheme.discipline, cfg.queue_capacity),
-                    WaitQueue::new(scheme.discipline, cfg.queue_capacity),
+                    WaitQueue::new(scheme.discipline, QUEUE_CAPACITY),
+                    WaitQueue::new(scheme.discipline, QUEUE_CAPACITY),
                 )
             })
             .collect();

@@ -184,15 +184,11 @@ fn flash_elephant_and_mouse() {
     let funds = NetworkFunds::uniform(&g, Amount::from_tokens(50));
     let payments =
         payments_from_tuples(&[(0, 0, 3, 60), (500, 0, 3, 2)], SimDuration::from_secs(3));
-    let cfg = EngineConfig {
-        max_retries: 1,
-        ..Default::default()
-    };
     let stats = Engine::new(
         g,
         funds,
         SchemeConfig::flash(Amount::from_tokens(20)),
-        cfg,
+        EngineConfig::default(),
         SimRng::seed(8),
     )
     .run(payments);

@@ -32,10 +32,11 @@
 
 use std::sync::Arc;
 
+use pcn_types::constants::QUEUE_CAPACITY;
 use pcn_types::{ChannelId, NodeId, SimTime, TuId};
 
 use crate::scheduler::WaitQueue;
-use crate::world::{RebalancePolicy, WorldEvent};
+use crate::world::WorldEvent;
 
 use super::{Engine, Ev};
 
@@ -202,8 +203,8 @@ impl Engine {
                 self.graph.add_edge(a, b);
                 self.funds.add_channel(a, b, funds_per_side, funds_per_side);
                 self.queues.push((
-                    WaitQueue::new(self.scheme.discipline, self.cfg.queue_capacity),
-                    WaitQueue::new(self.scheme.discipline, self.cfg.queue_capacity),
+                    WaitQueue::new(self.scheme.discipline, QUEUE_CAPACITY),
+                    WaitQueue::new(self.scheme.discipline, QUEUE_CAPACITY),
                 ));
                 // Rebuild the shared endpoint table; the price table
                 // adopts the same allocation and grows its own columns.
@@ -212,17 +213,15 @@ impl Engine {
                 self.endpoints = Arc::from(endpoints);
                 self.prices.set_endpoints(Arc::clone(&self.endpoints));
             }
-            WorldEvent::Rebalance { policy, .. } => match policy {
-                RebalancePolicy::Equalize => {
-                    // Open channels only, in ascending id order.
-                    for i in 0..self.funds.len() {
-                        let ch = ChannelId::from_index(i);
-                        if !self.graph.is_closed(ch) {
-                            self.funds.rebalance_equalize(ch).expect("dense channel id");
-                        }
+            WorldEvent::Rebalance { .. } => {
+                // Open channels only, in ascending id order.
+                for i in 0..self.funds.len() {
+                    let ch = ChannelId::from_index(i);
+                    if !self.graph.is_closed(ch) {
+                        self.funds.rebalance_equalize(ch).expect("dense channel id");
                     }
                 }
-            },
+            }
         }
         self.stats.world_events_applied += 1;
     }
@@ -275,7 +274,7 @@ mod tests {
     use super::super::{payments_from_tuples, Engine, EngineConfig};
     use crate::channel::NetworkFunds;
     use crate::scheme::SchemeConfig;
-    use crate::world::{RebalancePolicy, WorldEvent};
+    use crate::world::WorldEvent;
     use pcn_sim::SimRng;
     use pcn_types::{Amount, ChannelId, NodeId, SimDuration, SimTime};
 
@@ -500,7 +499,6 @@ mod tests {
         });
         let timeline = vec![WorldEvent::Rebalance {
             at: SimTime::from_micros(1000),
-            policy: RebalancePolicy::Equalize,
         }];
         let mut engine = Engine::new(
             g,

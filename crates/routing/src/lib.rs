@@ -69,8 +69,7 @@
 //!    a whole price tick while a fully-drained channel cycle exists —
 //!    the deadlock symptom the honest-traffic counters
 //!    (`honest_generated` / `honest_completed`, `RunStats::honest_tsr`)
-//!    then quantify. Victims can opt into retry pacing via
-//!    [`EngineConfig::retry_backoff`](engine::EngineConfig::retry_backoff).
+//!    then quantify.
 //!
 //! # Example: Fig. 1's local deadlock, then Splicer avoiding it
 //!
@@ -122,4 +121,4 @@ pub use engine::{Engine, EngineConfig};
 pub use fault::{FaultPlan, RogueBehavior, TuDropFilter};
 pub use scheme::{ComputeModel, RouteVia, SchemeConfig};
 pub use stats::RunStats;
-pub use world::{RebalancePolicy, WorldEvent};
+pub use world::WorldEvent;

@@ -116,6 +116,10 @@ pub struct SchemeConfig {
     pub compute_at_source: bool,
     /// Compute-cost model.
     pub compute: ComputeModel,
+    /// TU retry budget after a failed attempt (Flash uses 1). Read only
+    /// without rate control: a failed TU with budget left is re-sent on
+    /// the flow's next path instead of failing its transaction.
+    pub max_retries: u32,
 }
 
 impl SchemeConfig {
@@ -133,6 +137,7 @@ impl SchemeConfig {
             balance_view: BalanceView::Live,
             compute_at_source: false,
             compute: ComputeModel::default(),
+            max_retries: 0,
         }
     }
 
@@ -151,6 +156,7 @@ impl SchemeConfig {
             balance_view: BalanceView::CapacityOnly,
             compute_at_source: true,
             compute: ComputeModel::default(),
+            max_retries: 0,
         }
     }
 
@@ -169,6 +175,7 @@ impl SchemeConfig {
             balance_view: BalanceView::CapacityOnly,
             compute_at_source: true,
             compute: ComputeModel::default(),
+            max_retries: 1,
         }
     }
 
@@ -186,6 +193,7 @@ impl SchemeConfig {
             balance_view: BalanceView::CapacityOnly,
             compute_at_source: true,
             compute: ComputeModel::default(),
+            max_retries: 0,
         }
     }
 
@@ -206,6 +214,7 @@ impl SchemeConfig {
                 crypto_overhead,
                 ..ComputeModel::default()
             },
+            max_retries: 0,
         }
     }
 
@@ -223,6 +232,7 @@ impl SchemeConfig {
             balance_view: BalanceView::CapacityOnly,
             compute_at_source: true,
             compute: ComputeModel::default(),
+            max_retries: 0,
         }
     }
 }
@@ -268,6 +278,20 @@ mod tests {
                 assert_eq!(elephant_threshold, Amount::from_tokens(20));
             }
             _ => panic!("wrong route_via"),
+        }
+    }
+
+    #[test]
+    fn only_flash_retries_failed_tus() {
+        assert_eq!(SchemeConfig::flash(Amount::from_tokens(20)).max_retries, 1);
+        for s in [
+            SchemeConfig::splicer(BTreeMap::new()),
+            SchemeConfig::spider(),
+            SchemeConfig::landmark(vec![NodeId::new(0)]),
+            SchemeConfig::a2l(NodeId::new(0), SimDuration::ZERO),
+            SchemeConfig::shortest_path(),
+        ] {
+            assert_eq!(s.max_retries, 0, "{}", s.name);
         }
     }
 

@@ -19,16 +19,6 @@
 
 use pcn_types::{Amount, SimTime};
 
-/// How a [`WorldEvent::Rebalance`] redistributes liquidity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RebalancePolicy {
-    /// Split each open channel's *spendable* value evenly between its
-    /// two directions (locked in-flight value is untouched; any odd
-    /// millitoken goes to the `a` side). Models an out-of-band
-    /// rebalancing service resetting accumulated drift.
-    Equalize,
-}
-
 /// One mid-run environment mutation, applied deterministically at
 /// [`WorldEvent::at`]. Pure data: a timeline is a sorted `Vec` of these.
 #[derive(Clone, Debug, PartialEq)]
@@ -79,12 +69,14 @@ pub enum WorldEvent {
         /// Initial spendable balance per side.
         funds_per_side: Amount,
     },
-    /// Liquidity reset across every open channel per the policy.
+    /// Liquidity reset across every open channel: each channel's
+    /// *spendable* value splits evenly between its two directions
+    /// (locked in-flight value is untouched; any odd millitoken goes to
+    /// the `a` side). Models an out-of-band rebalancing service resetting
+    /// accumulated drift.
     Rebalance {
         /// When the rebalance runs.
         at: SimTime,
-        /// Redistribution policy.
-        policy: RebalancePolicy,
     },
 }
 
@@ -96,7 +88,7 @@ impl WorldEvent {
             | WorldEvent::HubOutage { at, .. }
             | WorldEvent::ChannelClose { at, .. }
             | WorldEvent::ChannelOpen { at, .. }
-            | WorldEvent::Rebalance { at, .. } => *at,
+            | WorldEvent::Rebalance { at } => *at,
         }
     }
 }
@@ -122,10 +114,7 @@ mod tests {
                 b_sel: 2,
                 funds_per_side: Amount::from_tokens(5),
             },
-            WorldEvent::Rebalance {
-                at: t,
-                policy: RebalancePolicy::Equalize,
-            },
+            WorldEvent::Rebalance { at: t },
         ];
         assert!(events.iter().all(|e| e.at() == t));
     }

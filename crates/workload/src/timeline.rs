@@ -37,7 +37,7 @@
 //! assert!(!world.timeline.is_empty());
 //! ```
 
-use pcn_routing::world::{RebalancePolicy, WorldEvent};
+use pcn_routing::world::WorldEvent;
 use pcn_sim::SimRng;
 use pcn_types::{SimDuration, SimTime};
 
@@ -65,8 +65,8 @@ pub struct TimelineSpec {
     /// Channel churn rate: one close + open pair per `1 / rate` seconds
     /// (0 = no churn, the default).
     pub churn_per_sec: f64,
-    /// Liquidity rebalances `(at_secs, policy)`.
-    pub rebalances: Vec<(f64, RebalancePolicy)>,
+    /// Equalizing liquidity rebalances, seconds from run start.
+    pub rebalances: Vec<f64>,
 }
 
 impl TimelineSpec {
@@ -102,11 +102,8 @@ impl TimelineSpec {
                 recover_at: at(outage.recover_secs),
             });
         }
-        for &(secs, policy) in &self.rebalances {
-            events.push(WorldEvent::Rebalance {
-                at: at(secs),
-                policy,
-            });
+        for &secs in &self.rebalances {
+            events.push(WorldEvent::Rebalance { at: at(secs) });
         }
         if self.churn_per_sec > 0.0 {
             let ticks = (duration.as_secs_f64() * self.churn_per_sec).floor() as u64;
@@ -195,13 +192,8 @@ impl TimelineBuilder {
     }
 
     /// Equalizing liquidity reset at `at_secs`.
-    pub fn rebalance(self, at_secs: f64) -> Self {
-        self.rebalance_with(at_secs, RebalancePolicy::Equalize)
-    }
-
-    /// Liquidity reset at `at_secs` with an explicit policy.
-    pub fn rebalance_with(mut self, at_secs: f64, policy: RebalancePolicy) -> Self {
-        self.spec.rebalances.push((at_secs, policy));
+    pub fn rebalance(mut self, at_secs: f64) -> Self {
+        self.spec.rebalances.push(at_secs);
         self
     }
 

@@ -94,7 +94,7 @@ fn dynamic_world_conserves_value_under_churn_and_outage() {
     // movement and at the end of the run) and the books must balance.
     // Per-channel lock hygiene for closures is pinned by the engine's
     // own `world` unit tests; this exercises the full mixed load.
-    use pcn_routing::world::{RebalancePolicy, WorldEvent};
+    use pcn_routing::world::WorldEvent;
     use pcn_types::SimTime;
 
     let mut g = pcn_graph::Graph::new(8);
@@ -122,10 +122,7 @@ fn dynamic_world_conserves_value_under_churn_and_outage() {
         hub_rank: 0,
         recover_at: ms(5_000),
     });
-    timeline.push(WorldEvent::Rebalance {
-        at: ms(4_000),
-        policy: RebalancePolicy::Equalize,
-    });
+    timeline.push(WorldEvent::Rebalance { at: ms(4_000) });
     timeline.sort_by_key(WorldEvent::at);
     let events = timeline.len() as u64;
     let tuples: Vec<(u64, u32, u32, u64)> = (0..400)
