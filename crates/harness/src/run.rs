@@ -49,7 +49,36 @@ pub struct SchemeTuning {
 }
 
 impl SchemeTuning {
+    /// Applies the overrides to a cell's scheme.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an override sets a field that the scheme's route never
+    /// reads (per `Engine::plan_paths`), since it would change nothing:
+    /// direct and hub routes read the path type, the path count and the
+    /// balance view; Flash reads the path type and count (its mice pools
+    /// always plan on capacities); landmark routes read the count only,
+    /// and the single-hub route none of them.
     fn apply(&self, s: &mut pcn_routing::SchemeConfig) {
+        use pcn_routing::RouteVia;
+        // Whether the route reads the path type, the count, the view.
+        let (path_select, num_paths, balance_view) = match s.route_via {
+            RouteVia::Direct | RouteVia::Hubs { .. } => (true, true, true),
+            RouteVia::FlashMaxFlow { .. } => (true, true, false),
+            RouteVia::Landmarks { .. } => (false, true, false),
+            RouteVia::SingleHub { .. } => (false, false, false),
+        };
+        for (set, read, field) in [
+            (self.path_select.is_some(), path_select, "path_select"),
+            (self.num_paths.is_some(), num_paths, "num_paths"),
+            (self.balance_view.is_some(), balance_view, "balance_view"),
+        ] {
+            assert!(
+                !set || read,
+                "SchemeTuning overrides `{field}` on {}, whose route never reads it",
+                s.name
+            );
+        }
         if let Some(ps) = self.path_select {
             s.path_select = ps;
         }
@@ -231,6 +260,18 @@ mod tests {
             .build();
         let outcome = run_spec(&spec);
         assert!(!outcome.passed(), "overload cannot reach TSR 1.0");
+    }
+
+    #[test]
+    #[should_panic(expected = "overrides `path_select` on Landmark")]
+    fn overriding_a_field_the_route_never_reads_panics() {
+        let tuning = SchemeTuning {
+            path_select: Some(pcn_routing::paths::PathSelect::Ksp),
+            ..SchemeTuning::default()
+        };
+        tuning.apply(&mut pcn_routing::SchemeConfig::landmark(vec![
+            pcn_types::NodeId::new(0),
+        ]));
     }
 
     #[test]
