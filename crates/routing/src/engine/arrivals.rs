@@ -24,7 +24,8 @@ use crate::tu::{split_demand, Payment};
 use crate::window::WindowController;
 
 use super::{
-    Engine, Ev, FlowState, TxState, ALPHA, INITIAL_RATE, INITIAL_WINDOW, MAX_RATE, MIN_RATE,
+    Engine, Ev, FlowState, Injector, TxState, ALPHA, INITIAL_RATE, INITIAL_WINDOW, MAX_RATE,
+    MIN_RATE,
 };
 
 /// Routes one capacity-only plan query — `compute` reads the topology
@@ -223,17 +224,18 @@ impl Engine {
         let windows = WindowController::new(k, INITIAL_WINDOW, WINDOW_BETA, WINDOW_GAMMA);
         let backlog: VecDeque<Amount> = split_demand(payment.value, self.cfg.min_tu, MAX_TU).into();
         let state = self.txs.get_mut(tx).expect("checked above");
-        let mut flow = FlowState {
+        let injectors = if self.scheme.rate_control {
+            vec![Injector::Scheduled; k]
+        } else {
+            Vec::new()
+        };
+        state.flow = Some(FlowState {
             outstanding: vec![0; k],
             paths,
             rates,
             windows,
-            admit_mask: 0,
-        };
-        for i in 0..k {
-            flow.refresh_admit(i);
-        }
-        state.flow = Some(flow);
+            injectors,
+        });
         state.backlog = backlog;
         if self.scheme.rate_control {
             for i in 0..k {

@@ -3,26 +3,28 @@
 //! TUs leave a transaction's backlog (windowed, rate-paced for
 //! congestion-controlled schemes; blasted otherwise), lock funds hop by
 //! hop, queue on dry channel directions, settle backwards as the
-//! acknowledgement returns, and refund every locked hop on abort.
+//! acknowledgement returns, and refund every locked hop on abort. A
+//! rate-controlled path with nothing to send parks until an
+//! acknowledgement or an abort's refill wakes it (the park/wake rule in
+//! the engine module docs).
 
 use std::sync::Arc;
 
 use pcn_types::constants::{MAX_TU, QUEUE_DELAY_THRESHOLD};
-use pcn_types::{ChannelId, SimTime, TuId, TxId};
+use pcn_types::{ChannelId, SimDuration, SimTime, TuId, TxId};
 
 use crate::scheduler::WaitQueue;
 use crate::tu::TransactionUnit;
 
-use super::{nth_hop, Engine, Ev, HOP_DELAY};
+use super::{nth_hop, Engine, EngineConfig, Ev, Injector, TxState, HOP_DELAY, MIN_POLL};
 
 /// Sends the next backlog TU of an already-looked-up transaction. With
 /// `path_override` the TU goes on the given path (rate-controlled
 /// injection); otherwise round-robin. Returns false when the backlog is
 /// empty or the window is closed.
 ///
-/// A free function over the disjoint engine fields it touches, so the
-/// injection poll path (`on_inject`, the single most frequent event in a
-/// saturated run) resolves its transaction exactly once.
+/// A free function over the disjoint engine fields it touches, so
+/// `on_inject` resolves its transaction exactly once.
 fn try_send_tu(
     tus: &mut super::arena::TuArena,
     events: &mut pcn_sim::EventQueue<Ev>,
@@ -50,7 +52,6 @@ fn try_send_tu(
     }
     let amount = state.backlog.pop_front().expect("backlog non-empty");
     flow.outstanding[path_i] += 1;
-    flow.refresh_admit(path_i);
     let plan = Arc::clone(&flow.paths);
     let deadline = state.payment.deadline;
     let id = tus.insert_with(|id| TransactionUnit {
@@ -68,6 +69,46 @@ fn try_send_tu(
     });
     events.schedule_at(now, Ev::HopArrive(id));
     true
+}
+
+/// Wakes the parked paths of `state` that can send again: each gets one
+/// `Inject`, in path order, at the first instant of its poll grid
+/// strictly after `now`, or is `Done` when that instant is past the
+/// deadline (see the module docs' park/wake rule).
+fn wake_parked(
+    events: &mut pcn_sim::EventQueue<Ev>,
+    state: &mut TxState,
+    now: SimTime,
+    cfg: &EngineConfig,
+) {
+    if state.resolved || state.backlog.is_empty() {
+        return;
+    }
+    let Some(flow) = state.flow.as_mut() else {
+        return;
+    };
+    let poll = poll_interval(cfg);
+    for i in 0..flow.injectors.len() {
+        let Injector::Parked(parked_at) = flow.injectors[i] else {
+            continue;
+        };
+        if !flow.admits(i) {
+            continue;
+        }
+        let polls = now.saturating_since(parked_at).as_micros() / poll.as_micros() + 1;
+        let at = parked_at + poll.saturating_mul(polls);
+        flow.injectors[i] = if at <= state.payment.deadline {
+            events.schedule_at(at, Ev::Inject(state.payment.id, i));
+            Injector::Scheduled
+        } else {
+            Injector::Done
+        };
+    }
+}
+
+/// The spacing of a parked path's poll grid: max(τ/4, 10 ms).
+fn poll_interval(cfg: &EngineConfig) -> SimDuration {
+    cfg.update_interval.div(4).max(MIN_POLL)
 }
 
 impl Engine {
@@ -106,32 +147,29 @@ impl Engine {
             tx,
             Some(path_i),
         );
-        let gap = if sent {
-            // The pacing rate is only consulted on an actual send; rates
-            // change solely at price ticks, so reading it after the send
-            // is identical to reading it before.
-            let rates = state
-                .flow
-                .as_ref()
-                .expect("checked above")
-                .rates
-                .as_ref()
-                .expect("only rate-controlled flows schedule Inject");
-            pcn_types::SimDuration::from_secs_f64(
-                rates.injection_gap_secs(path_i, MAX_TU.to_tokens_f64()),
-            )
-        } else {
-            // Window closed or backlog empty: poll again shortly.
-            self.cfg
-                .update_interval
-                .div(4)
-                .max(pcn_types::SimDuration::from_millis(10))
-        };
+        let flow = state.flow.as_mut().expect("checked above");
+        if !sent {
+            // Window closed or backlog empty: only an acknowledgement or
+            // an abort's refill can reopen the path, and each wakes it.
+            flow.injectors[path_i] = Injector::Parked(now);
+            return;
+        }
+        // The pacing rate is only consulted on an actual send; rates
+        // change solely at price ticks, so reading it after the send is
+        // identical to reading it before.
+        let rates = flow
+            .rates
+            .as_ref()
+            .expect("only rate-controlled flows schedule Inject");
+        let gap =
+            SimDuration::from_secs_f64(rates.injection_gap_secs(path_i, MAX_TU.to_tokens_f64()));
         // Keep injecting while the transaction can still make its
         // deadline (sending never resolves the transaction, so the
         // resolved check above still holds here).
         if now + gap <= state.payment.deadline {
             self.events.schedule_after(gap, Ev::Inject(tx, path_i));
+        } else {
+            flow.injectors[path_i] = Injector::Done;
         }
     }
 
@@ -286,8 +324,7 @@ impl Engine {
         // Settling credits the reverse direction; queued reverse TUs may
         // now proceed.
         let rev_dir = self.dir_of(ch, to);
-        self.events
-            .schedule_at(self.events.now(), Ev::QueueDrain(ch.raw(), rev_dir));
+        self.schedule_drain(ch, rev_dir);
     }
 
     pub(super) fn on_ack_complete(&mut self, now: SimTime, tu_id: TuId) {
@@ -303,7 +340,6 @@ impl Engine {
             if !tu.marked {
                 flow.windows.on_unmarked_success(tu.flow_path);
             }
-            flow.refresh_admit(tu.flow_path);
         }
         if !state.resolved && state.delivered >= state.payment.value {
             state.resolved = true;
@@ -319,7 +355,9 @@ impl Engine {
             self.stats
                 .latency
                 .record(now.saturating_since(state.payment.created).as_secs_f64());
+            return;
         }
+        wake_parked(&mut self.events, state, now, &self.cfg);
     }
 
     /// Aborts a TU: removes it from any queue, refunds locked hops and
@@ -343,8 +381,7 @@ impl Engine {
                 .expect("refunding a locked hop");
             self.stats.overhead_msgs += 1;
             let dir = self.dir_of(ch, from);
-            self.events
-                .schedule_at(self.events.now(), Ev::QueueDrain(ch.raw(), dir));
+            self.schedule_drain(ch, dir);
         }
         let Some(state) = self.txs.get_mut(tu.tx) else {
             return;
@@ -354,7 +391,6 @@ impl Engine {
             if tu.marked {
                 flow.windows.on_marked_abort(tu.flow_path);
             }
-            flow.refresh_admit(tu.flow_path);
         }
         if state.resolved {
             return;
@@ -365,6 +401,7 @@ impl Engine {
         if self.scheme.rate_control {
             // Value returns to the backlog; the injectors retry it.
             state.backlog.push_back(tu.amount);
+            wake_parked(&mut self.events, state, now, &self.cfg);
         } else {
             let flow_len = state.flow.as_ref().map(|f| f.paths.len()).unwrap_or(0);
             if tu.retries < self.scheme.max_retries && flow_len > 1 {
@@ -372,7 +409,6 @@ impl Engine {
                 let next_path = (tu.flow_path + 1) % flow_len;
                 let flow = state.flow.as_mut().expect("flow_len > 0");
                 flow.outstanding[next_path] += 1;
-                flow.refresh_admit(next_path);
                 let plan = Arc::clone(&flow.paths);
                 let id = self.tus.insert_with(|id| TransactionUnit {
                     id,
@@ -412,6 +448,17 @@ impl Engine {
 
     pub(super) fn dir_of(&self, ch: ChannelId, from: pcn_types::NodeId) -> bool {
         self.endpoints[ch.index()].0 == from
+    }
+
+    /// Schedules a drain of a direction whose balance just rose, unless
+    /// its queue is empty (see the module docs' drain rule).
+    fn schedule_drain(&mut self, ch: ChannelId, dir_from_a: bool) {
+        let (a_to_b, b_to_a) = &self.queues[ch.index()];
+        let queue = if dir_from_a { a_to_b } else { b_to_a };
+        if !queue.is_empty() {
+            self.events
+                .schedule_at(self.events.now(), Ev::QueueDrain(ch.raw(), dir_from_a));
+        }
     }
 
     pub(super) fn queue_mut(&mut self, ch: ChannelId, dir_from_a: bool) -> &mut WaitQueue {
@@ -468,14 +515,147 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{payments_from_tuples, Engine, EngineConfig};
+    use super::super::{payments_from_tuples, Engine, EngineConfig, Ev, Injector};
     use crate::channel::NetworkFunds;
     use crate::scheme::SchemeConfig;
     use pcn_sim::SimRng;
-    use pcn_types::{Amount, NodeId, SimDuration};
+    use pcn_types::{Amount, NodeId, SimDuration, SimTime, TxId};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// Spider over `g` whose channels into node `dry` hold funds only on
+    /// `dry`'s side: every TU queues at its last hop and waits there
+    /// until the deadline expires it.
+    fn dry_last_hop_engine(g: pcn_graph::Graph, dry: u32) -> Engine {
+        let funds = NetworkFunds::from_graph(&g, |ch, side| {
+            let (a, b) = g.endpoints(ch).expect("dense edge ids");
+            if (a != n(dry) && b != n(dry)) || side == n(dry) {
+                Amount::from_tokens(50)
+            } else {
+                Amount::ZERO
+            }
+        });
+        Engine::new(
+            g,
+            funds,
+            SchemeConfig::spider(),
+            EngineConfig::default(),
+            SimRng::seed(3),
+        )
+    }
+
+    /// A path with nothing to send parks instead of polling. The world
+    /// of `control::tests::tick_expires_overdue_queued_tus`: one 2-token
+    /// TU waits on a dry hop until its 300 ms deadline. The path pops
+    /// one `Inject` for the TU it sends and one more, 80 ms later, that
+    /// finds the backlog empty and parks it. Nothing wakes it (no
+    /// acknowledgement, no refill before the deadline), where a path
+    /// re-polling every max(τ/4, 10 ms) = 50 ms would pop four more.
+    #[test]
+    fn a_path_with_nothing_to_send_parks_instead_of_polling() {
+        let mut g = pcn_graph::Graph::new(3);
+        g.add_edge(n(0), n(1));
+        g.add_edge(n(1), n(2));
+        let mut engine = dry_last_hop_engine(g, 2);
+        engine.begin(payments_from_tuples(
+            &[(0, 0, 2, 2)],
+            SimDuration::from_millis(300),
+        ));
+        let mut injects = Vec::new();
+        while let Some((now, ev)) = engine.events.pop() {
+            if matches!(ev, Ev::Inject(..)) {
+                injects.push(now);
+            }
+            engine.handle(now, ev);
+        }
+        assert_eq!(
+            (engine.stats.aborted_tus, engine.stats.failed),
+            (1, 1),
+            "the queued TU expires and the payment fails"
+        );
+        let state = engine.txs.get(TxId::new(0)).expect("admitted");
+        assert!(state.backlog.is_empty(), "the one TU was sent");
+        assert_eq!(injects.len(), 2, "one send, one park: {injects:?}");
+        let flow = state.flow.as_ref().expect("planned");
+        assert_eq!(flow.injectors, [Injector::Parked(injects[1])]);
+    }
+
+    /// A mid-run abort refills the backlog and wakes each parked path
+    /// that admits exactly once, in path order, at the first instant of
+    /// its poll grid strictly after the abort. The refund lands on a
+    /// direction with an empty queue, so it schedules no `QueueDrain`:
+    /// the two `Inject`s are all the abort schedules.
+    #[test]
+    fn an_abort_wakes_each_parked_path_once_on_its_poll_grid() {
+        // Two disjoint routes 0-1-3 and 0-2-3, both dry at their last hop.
+        let mut g = pcn_graph::Graph::new(4);
+        for (a, b) in [(0, 1), (1, 3), (0, 2), (2, 3)] {
+            g.add_edge(n(a), n(b));
+        }
+        let mut engine = dry_last_hop_engine(g, 3);
+        // Two 4-token TUs: each path sends one, then parks 80 ms later.
+        engine.begin(payments_from_tuples(
+            &[(0, 0, 3, 8)],
+            SimDuration::from_secs(3),
+        ));
+        let tx = TxId::new(0);
+        let parked_at = |engine: &Engine| -> Vec<Option<SimTime>> {
+            let flow = engine.txs.get(tx).and_then(|s| s.flow.as_ref());
+            flow.map_or(Vec::new(), |f| {
+                f.injectors
+                    .iter()
+                    .map(|i| match i {
+                        Injector::Parked(at) => Some(*at),
+                        _ => None,
+                    })
+                    .collect()
+            })
+        };
+        // Run past both parks to the 200 ms price tick, off the grid.
+        while engine
+            .events
+            .peek_time()
+            .is_some_and(|t| t <= SimTime::from_micros(250_000))
+        {
+            let (now, ev) = engine.events.pop().expect("peeked");
+            engine.handle(now, ev);
+        }
+        let parks = parked_at(&engine);
+        assert_eq!(parks.len(), 2, "both routes planned");
+        assert!(parks.iter().all(Option::is_some), "{parks:?}");
+        assert_eq!(engine.tus.len(), 2, "both TUs wait on their dry hop");
+        let now = engine.events.now();
+        let victim = engine
+            .tus
+            .iter()
+            .find(|tu| tu.flow_path == 0)
+            .expect("path 0's TU")
+            .id;
+        let pending = engine.events.len();
+        engine.abort_tu(now, victim, false);
+        assert_eq!(engine.events.len(), pending + 2, "two wakes, no drain");
+        let poll = super::poll_interval(&engine.cfg);
+        let expected: Vec<(SimTime, usize)> = parks
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let p = p.expect("parked");
+                let polls = (now - p).as_micros() / poll.as_micros() + 1;
+                let at = p + poll.saturating_mul(polls);
+                assert!(at > now && at <= now + poll, "{at:?} after {now:?}");
+                (at, i)
+            })
+            .collect();
+        let mut woken = Vec::new();
+        while let Some((at, ev)) = engine.events.pop() {
+            if let Ev::Inject(id, i) = ev {
+                assert_eq!(id, tx);
+                woken.push((at, i));
+            }
+        }
+        assert_eq!(woken, expected);
     }
 
     /// A TU that times out mid-path must refund every hop it locked: at

@@ -61,6 +61,39 @@
 //!   scheduling order (FIFO) — the determinism contract. A plain binary
 //!   heap of `(time, lane, seq)` keys is the test oracle only: the
 //!   property suite pins the queue to its pop sequence, op for op.
+//!
+//! # Only events that can act are scheduled
+//!
+//! The paper's sender (§IV, eqs. 26–28) sends a path's next TU as soon
+//! as its window and rate allow. The engine schedules no event whose
+//! handler would find nothing to do:
+//!
+//! * **Park.** A rate-controlled path's `Inject` that sends nothing
+//!   (window closed or backlog empty) parks the path at that instant
+//!   `p` and schedules nothing. A send whose next gap would pass the
+//!   payment's deadline ends the chain (`Done`); a finished path never
+//!   wakes.
+//! * **Wake.** A parked path can send again only once its backlog is
+//!   non-empty and its window admits, and only two sites can make that
+//!   true: an acknowledgement (`on_ack_complete`: `outstanding` falls and
+//!   the window grows) and a rate-controlled abort's refill (`abort_tu`:
+//!   the backlog grows and `outstanding` falls). Price ticks change
+//!   rates, not windows, and marks change no window, so neither wakes a
+//!   path. At those two sites every parked path of the payment that can
+//!   now send gets one `Inject`, in path order, at the first instant of
+//!   its poll grid (spacing `poll` = max(τ/4, 10 ms)) strictly after
+//!   `now`: `p + poll·(⌊(now − p)/poll⌋ + 1)`. A path whose instant falls
+//!   past the deadline is `Done` instead. That instant is where a path
+//!   re-polling every `poll` from `p` would next find itself open, so a
+//!   run matches such a polling loop except where a wake pops after a
+//!   same-instant event that a poll, sequenced one `poll` earlier,
+//!   would have preceded.
+//! * **Drains.** A settle or a refund schedules a `QueueDrain` only for
+//!   a direction whose queue holds a TU. A skipped drain could only have
+//!   served a TU queued after it at the same instant. That TU failed its
+//!   lock, so the balance was short of it, and only a later settle or
+//!   refund can raise the balance; that settle or refund schedules its
+//!   own drain.
 
 mod arena;
 mod arrivals;
@@ -156,6 +189,8 @@ const MAX_RATE: f64 = 500.0;
 const INITIAL_RATE: f64 = 50.0;
 /// Starting per-path window (TUs).
 const INITIAL_WINDOW: f64 = 20.0;
+/// Floor of a parked path's poll grid spacing, max(τ/4, this).
+const MIN_POLL: SimDuration = SimDuration::from_millis(10);
 
 #[derive(Debug)]
 pub(super) enum Ev {
@@ -174,6 +209,21 @@ pub(super) enum Ev {
     WorldRecover(u32),
 }
 
+/// Where a rate-controlled path's injection chain stands (see the
+/// module docs' park/wake rule).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Injector {
+    /// An `Inject` event for the path is pending.
+    Scheduled,
+    /// The path's `Inject` at this instant sent nothing (window closed
+    /// or backlog empty); no event is pending until a wake site finds
+    /// it able to send.
+    Parked(SimTime),
+    /// The chain ended: its next instant falls past the deadline. A
+    /// finished path never wakes.
+    Done,
+}
+
 pub(super) struct FlowState {
     /// The payment's path plan — shared with the path cache (a cache hit
     /// hands out the same allocation instead of deep-cloning the plan).
@@ -181,48 +231,15 @@ pub(super) struct FlowState {
     pub(super) rates: Option<RateController>,
     pub(super) windows: WindowController,
     pub(super) outstanding: Vec<usize>,
-    /// Cached per-path admission predicate — bit `i` mirrors
-    /// `windows.admits(i, outstanding[i])` for `i < 64` (paths beyond
-    /// that fall back to the direct check). The injection poll is by far
-    /// the most frequent event in a saturated run and usually fails on a
-    /// closed window; this keeps that verdict one inline bit test
-    /// instead of two heap dereferences. Refreshed by
-    /// [`FlowState::refresh_admit`] at every point `outstanding[i]` or
-    /// `windows[i]` changes.
-    pub(super) admit_mask: u64,
+    /// Per path, its injection chain (rate-controlled flows; empty for
+    /// blast flows, which never schedule `Inject`).
+    pub(super) injectors: Vec<Injector>,
 }
 
 impl FlowState {
-    /// Re-derives the cached admission bit for path `i`; must be called
-    /// after any change to `outstanding[i]` or the path's window.
-    pub(super) fn refresh_admit(&mut self, i: usize) {
-        if i < 64 {
-            let bit = 1u64 << i;
-            if self.windows.admits(i, self.outstanding[i]) {
-                self.admit_mask |= bit;
-            } else {
-                self.admit_mask &= !bit;
-            }
-        }
-    }
-
-    /// Whether path `i` may admit another TU — the cached equivalent of
-    /// `windows.admits(i, outstanding[i])`.
+    /// Whether path `i` may admit another TU.
     pub(super) fn admits(&self, i: usize) -> bool {
-        if i < 64 {
-            let cached = self.admit_mask & (1u64 << i) != 0;
-            // Catch any future mutation site that forgets refresh_admit
-            // before it can silently change protocol behaviour.
-            debug_assert_eq!(
-                cached,
-                self.windows.admits(i, self.outstanding[i]),
-                "admit_mask out of sync for path {i}: a mutation of \
-                 outstanding[{i}] or its window skipped refresh_admit"
-            );
-            cached
-        } else {
-            self.windows.admits(i, self.outstanding[i])
-        }
+        self.windows.admits(i, self.outstanding[i])
     }
 }
 

@@ -312,34 +312,42 @@ mod alloc_counter {
 /// The per-event hot path performs **zero steady-state allocations**:
 /// once every payment is admitted and its flow set up (admission
 /// allocates by design — backlog, controllers, plan), the remaining TU
-/// lifecycle — injection pacing, hop locks, queue pushes/drains,
-/// settlement walks, aborts/refunds, price ticks — runs to completion
-/// without a single heap allocation, measured by a counting global
-/// allocator.
+/// lifecycle — injection pacing, parks and wakes, hop locks, queue
+/// pushes/drains, settlement walks, aborts/refunds, price ticks — runs
+/// to completion without a single heap allocation, measured by a
+/// counting global allocator.
 ///
 /// Warm structures are pre-sized the way a long-running engine's would
 /// be (the calendar ring warms naturally once it wraps, ~4.2 s of sim
 /// time; this test's horizon is shorter, so it pre-warms explicitly).
 #[test]
 fn hot_loop_steady_state_is_allocation_free() {
-    // Saturated line: 40-token payments split into 10 TUs each through
-    // 10-token channels — hop locks contend, queues build and drain.
-    let mut g = Graph::new(4);
-    for i in 0..3 {
-        g.add_edge(NodeId::from_index(i), NodeId::from_index(i + 1));
+    // Four disjoint saturated lines: 40-token payments split into 10 TUs
+    // each through 10-token channels — hop locks contend, queues build
+    // and drain, paths park and wake.
+    const LINES: usize = 4;
+    let mut g = Graph::new(4 * LINES);
+    for line in 0..LINES {
+        for i in 0..3 {
+            g.add_edge(
+                NodeId::from_index(4 * line + i),
+                NodeId::from_index(4 * line + i + 1),
+            );
+        }
     }
     let funds = NetworkFunds::uniform(&g, Amount::from_tokens(10));
     // All payments arrive in the first 200 ms from distinct endpoints;
     // their TU traffic then churns for ~5 s.
-    let tuples: Vec<(u64, u32, u32, u64)> = (0..96)
+    let tuples: Vec<(u64, u32, u32, u64)> = (0..96 * LINES as u64)
         .map(|i| {
-            let (s, d) = match i % 4 {
+            let (s, d) = match (i / LINES as u64) % 4 {
                 0 => (0, 3),
                 1 => (3, 0),
                 2 => (1, 3),
                 _ => (2, 0),
             };
-            (i * 2, s, d, 40)
+            let base = 4 * (i % LINES as u64) as u32;
+            (i / LINES as u64 * 2, base + s, base + d, 40)
         })
         .collect();
     let payments = payments_from_tuples(&tuples, SimDuration::from_secs(5));
@@ -350,21 +358,16 @@ fn hot_loop_steady_state_is_allocation_free() {
         EngineConfig::default(),
         SimRng::seed(11),
     );
-    // Mirror `Engine::run`'s setup, driving the loop in place so the
+    // Start as `Engine::run` does, but drive the loop in place so the
     // measurement can start mid-run.
-    engine.horizon = payments.last().unwrap().deadline + engine.cfg.update_interval;
-    engine.payments = payments.into();
-    let at = engine.payments.front().unwrap().created;
-    engine.events.schedule_at(at, Ev::Arrival);
-    engine
-        .events
-        .schedule_after(engine.cfg.update_interval, Ev::PriceTick);
-    // Warmup: run past every admission (last arrival + compute service
-    // is well under 1 s) so flows, queues and scratch buffers exist.
+    engine.begin(payments);
+    // Warmup: stop right after every admission (the last arrival is at
+    // 190 ms, its route computation well under a millisecond), so flows,
+    // queues and scratch buffers exist and the TU churn lies ahead.
     while engine
         .events
         .peek_time()
-        .is_some_and(|t| t <= SimTime::from_micros(1_000_000))
+        .is_some_and(|t| t <= SimTime::from_micros(250_000))
     {
         let (now, ev) = engine.events.pop().expect("peeked");
         engine.handle(now, ev);
@@ -375,12 +378,13 @@ fn hot_loop_steady_state_is_allocation_free() {
     );
     assert!(!engine.tus.is_empty(), "warmup must leave TUs in flight");
     // Pre-size the growable structures to their steady-state extents,
-    // as a long-lived engine's would already be.
-    engine.events.preallocate(16);
-    engine.stats.latency.reserve(4096);
-    engine.tus.reserve(4096);
-    engine.scratch_expired.reserve(1024);
-    engine.scratch_marked.reserve(1024);
+    // as a long-lived engine's would already be (16 events per calendar
+    // bucket for each line).
+    engine.events.preallocate(16 * LINES);
+    engine.stats.latency.reserve(16_384);
+    engine.tus.reserve(16_384);
+    engine.scratch_expired.reserve(4096);
+    engine.scratch_marked.reserve(4096);
     engine.scratch_prices.reserve(64);
     for pair in engine.queues.iter_mut() {
         pair.0.reserve(256);
